@@ -1,25 +1,27 @@
 #!/usr/bin/env python3
-"""Compare the interpreted and numba-compiled enumeration kernels.
+"""Time the enumeration and counting kernels.
 
 Usage:
     python benchmarks/benchmark_kernels.py [--repeat N]
 
 Each kernel runs on a workload large enough to dominate call overhead:
-pruned counting of two nontrivial classes, pruned listing of a mid-size
-class, and a full oracle scan.  The compiled variant is warmed once so
-compilation time is reported separately from steady-state runtime.
+transfer-state counting of three classes, pruned listing of a mid-size
+class, and a full oracle scan.  Every time is the median of ``--repeat``
+runs, printed with its sample count.  The counter always runs interpreted;
+the listing kernels are also timed compiled when numba is available, warmed
+once so that compilation is reported apart from steady-state runtime.
 """
 from __future__ import annotations
 
 import argparse
+import statistics
 import time
 
 from ballotkit._kernels import (
     NUMBA_ENABLED,
     oracle_fill_jit,
     oracle_fill_py,
-    pruned_count_jit,
-    pruned_count_py,
+    pruned_count,
     pruned_fill_jit,
     pruned_fill_py,
 )
@@ -27,11 +29,15 @@ from ballotkit.enumeration import _mask3
 from ballotkit.patterns import parse_pattern_set
 
 CASES = [
-    ("pruned_count {321} n=11", "count", "321", 11),
-    ("pruned_count {231,312,321} n=18", "count", "231,312,321", 18),
+    ("pruned_count {321} n=40", "count", "321", 40),
+    ("pruned_count {231,312,321} n=40", "count", "231,312,321", 40),
+    ("pruned_count {132} n=20", "count", "132", 20),
     ("pruned_fill {132} n=10", "fill", "132", 10),
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9),
 ]
+
+PY_KERNELS = {"count": pruned_count, "fill": pruned_fill_py, "oracle": oracle_fill_py}
+JIT_KERNELS = {"fill": pruned_fill_jit, "oracle": oracle_fill_jit}
 
 
 def _run(kind, fn, mask, n):
@@ -41,33 +47,35 @@ def _run(kind, fn, mask, n):
 
 
 def _time(kind, fn, mask, n, repeat):
-    best = float("inf")
+    """Median seconds over ``repeat`` runs, and the result size."""
+    samples = []
     result = None
     for _ in range(repeat):
         t0 = time.perf_counter()
         result = _run(kind, fn, mask, n)
-        best = min(best, time.perf_counter() - t0)
-    size = int(result) if kind == "count" else len(result)
-    return best, size
+        samples.append(time.perf_counter() - t0)
+    size = result[-1] if kind == "count" else len(result)
+    return statistics.median(samples), size
 
 
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
     if not NUMBA_ENABLED:
         print("numba backend unavailable (missing or disabled via BALLOTKIT_NUMBA); "
               "only the interpreted path can be timed")
 
+    print(f"medians of {args.repeat} run(s) each")
     print(f"{'case':<36} {'python':>10} {'numba':>10} {'speedup':>9}  result")
     for label, kind, class_text, n in CASES:
         mask = _mask3(parse_pattern_set(class_text))
-        py_fn = {"count": pruned_count_py, "fill": pruned_fill_py, "oracle": oracle_fill_py}[kind]
-        py_time, size = _time(kind, py_fn, mask, n, args.repeat)
-        if NUMBA_ENABLED:
-            jit_fn = {"count": pruned_count_jit, "fill": pruned_fill_jit,
-                      "oracle": oracle_fill_jit}[kind]
+        py_time, size = _time(kind, PY_KERNELS[kind], mask, n, args.repeat)
+        jit_fn = JIT_KERNELS.get(kind) if NUMBA_ENABLED else None
+        if jit_fn is not None:
             t0 = time.perf_counter()
             _run(kind, jit_fn, mask, n)  # warm: includes compilation
             warm = time.perf_counter() - t0

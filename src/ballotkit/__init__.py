@@ -4,9 +4,10 @@ The package is organized as:
 
 - :mod:`ballotkit.perms` — permutation algebra and textual formats;
 - :mod:`ballotkit.patterns` — containment testing and class names;
-- :mod:`ballotkit.enumeration` — the brute-force oracle and the pruned
-  backtracking enumerator (numba-compiled kernels with a pure-Python
-  fallback, selected by BALLOTKIT_NUMBA);
+- :mod:`ballotkit.enumeration` — the brute-force oracle, the pruned
+  backtracking enumerator (numba-compiled listing kernels with a
+  pure-Python fallback, selected by BALLOTKIT_NUMBA), and the interpreted
+  transfer-state counter;
 - :mod:`ballotkit.formulas` — registered counting rules and reference
   sequence prefixes;
 - :mod:`ballotkit.bijections` — descent-word reconstructions, insertion

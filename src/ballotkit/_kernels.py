@@ -1,10 +1,10 @@
-"""Hot enumeration kernels: plain-Python source, optionally numba-compiled.
+"""Hot enumeration and counting kernels.
 
-Every kernel is written once as a loop over numpy int64 arrays.  When numba
-is importable and the environment variable BALLOTKIT_NUMBA is not set to
-0/false/off, the public names are the ``@njit``-compiled versions; otherwise
-they are the same functions run by the interpreter.  Both variants stay
-importable (``*_py`` / ``*_jit``) so the benchmark can compare them.
+The two listing kernels are written once as loops over numpy int64 arrays.
+When numba is importable and the environment variable BALLOTKIT_NUMBA is not
+set to 0/false/off, their public names are the ``@njit``-compiled versions;
+otherwise they are the same functions run by the interpreter.  Both variants
+stay importable (``*_py`` / ``*_jit``) so the benchmark can compare them.
 
 Kernels only understand pattern sets in which every pattern has length 3,
 encoded as a 6-bit mask over the lexicographic pattern order
@@ -18,10 +18,15 @@ There are three kernels:
   has more descents than ascents (when the ballot flag is set) or a new
   element completes a forbidden triple; both conditions are monotone, so no
   valid permutation is lost.
-- ``pruned_count``: tally-only search over *standardized* prefixes (value
-  ranks rather than concrete values).  Distinct value choices with the same
-  relative order are explored once, which removes a binomial factor from the
-  tree and makes counts at n = 20 cheap.
+- ``pruned_count``: a transfer-state counter (a generating tree in the sense
+  of West 1995).  It grows standardized prefixes one rank at a time, but
+  keeps only what decides their future: which value sites an earlier pair
+  already blocks, the rank of the last entry, and the ascent-minus-descent
+  height.  A ``{state: multiplicity}`` table is carried forward one length
+  at a time, so one pass yields the counts of every length up to n.  Counts
+  outgrow int64, so it works on Python ints, always runs interpreted and
+  does not use numba.  At most ``MAX_STATES`` states are kept per length;
+  past that it raises ``CapExceededError``.
 - ``oracle_fill``: filter every permutation of 1..n in lexicographic order.
   Deliberately free of pruning; this is the independent reference the pruned
   paths are validated against.
@@ -31,6 +36,12 @@ from __future__ import annotations
 import os
 
 import numpy as np
+
+from .errors import CapExceededError
+from .patterns import LENGTH3_PATTERNS, format_pattern_set
+
+#: Most states ``pruned_count`` keeps for one length (under 20 MB of tables).
+MAX_STATES = 100_000
 
 
 def _pruned_fill_impl(n, mask, ballot_req, first):
@@ -114,75 +125,93 @@ def _pruned_fill_impl(n, mask, ballot_req, first):
     return out[:total]
 
 
-def _pruned_count_impl(n, mask, ballot_req):
-    """|class at length n| by DFS over standardized prefixes (rank insertions)."""
-    if n == 0:
-        return 1
-    pre = np.zeros(n, dtype=np.int64)
-    cand = np.zeros(n, dtype=np.int64)
-    asc = np.zeros(n + 1, dtype=np.int64)
-    desc = np.zeros(n + 1, dtype=np.int64)
-    total = 0
-    depth = 0
-    cand[0] = 1
-    while depth >= 0:
-        r = cand[depth]
-        cand[depth] += 1
-        if r > depth + 1:
-            depth -= 1
-            if depth >= 0:
-                # undo the insertion made when this depth was entered
-                rr = pre[depth]
-                for i in range(depth):
-                    if pre[i] > rr:
-                        pre[i] -= 1
-            continue
-        a = asc[depth]
-        d = desc[depth]
-        if depth > 0:
-            if pre[depth - 1] < r:
-                a += 1
-            else:
-                d += 1
-            if ballot_req and d > a:
-                continue
-        if mask != 0 and depth >= 2:
-            # classify (x, y, r) against the post-insertion values: an entry
-            # >= r sits above the new element once shifted, < r below it
-            bad = False
-            for j in range(depth - 1, 0, -1):
-                y = pre[j]
-                y_hi = y >= r
-                for i in range(j - 1, -1, -1):
-                    x = pre[i]
-                    x_hi = x >= r
-                    if not x_hi and not y_hi:
-                        idx = 0 if x < y else 2   # 123 / 213
-                    elif x_hi and y_hi:
-                        idx = 3 if x < y else 5   # 231 / 321
-                    elif y_hi:
-                        idx = 1                   # 132
+def _sites(lo, hi):
+    """Bitmask of the value sites lo..hi (empty when lo > hi)."""
+    return (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
+
+
+def _blocked_by(mask, k):
+    """For each site s of a length-k prefix, the sites a new entry placed at s
+    blocks through the pairs it ends.
+
+    After the placement there are k + 2 sites, numbered from the bottom, and
+    the new entry w sits between sites s and s + 1.  An earlier x below w
+    forbids later values above w (123), between the smallest entry and w
+    (132), or below the largest entry under w (231); an earlier x above w
+    forbids values above the smallest entry over w (213), between w and the
+    largest entry (312), or below w (321).
+    """
+    out = []
+    for s in range(k + 1):
+        below, above = s > 0, s < k
+        b = 0
+        if below and mask & 1:
+            b |= _sites(s + 1, k + 1)
+        if below and mask & 2:
+            b |= _sites(1, s)
+        if above and mask & 4:
+            b |= _sites(s + 2, k + 1)
+        if below and mask & 8:
+            b |= _sites(0, s - 1)
+        if above and mask & 16:
+            b |= _sites(s + 1, k)
+        if above and mask & 32:
+            b |= _sites(0, s)
+        out.append(b)
+    return out
+
+
+def pruned_count(n, mask, ballot_req):
+    """[|class at length m| for m = 1..n], in one pass over transfer states.
+
+    The table maps (rank of the last entry, height) to {blocked sites:
+    multiplicity}.  Placing an entry at an open site s splits that site in
+    two, both inheriting its blocked bit, and adds ``_blocked_by``.  Without
+    the ballot flag the last rank and the height do not matter and are
+    dropped; with it, a height above the steps still to come is cut down to
+    that number, since such a prefix can no longer fall below zero.
+    """
+    if n < 1:
+        return []
+    counts = [1]
+    table = {(1, 0): {0: 1}}
+    for k in range(1, n):
+        moves = [((2 << s) - 1, s, b) for s, b in enumerate(_blocked_by(mask, k))]
+        room = n - k - 1
+        nxt = {}
+        size = 0
+        for (last, height), group in table.items():
+            targets = []
+            for low, s, add in moves:
+                key = (0, 0)
+                if ballot_req:
+                    h = height + 1 if s >= last else height - 1
+                    if h < 0:
+                        continue
+                    key = (s + 1, min(h, room))
+                targets.append((low, s, add, nxt.setdefault(key, {})))
+            for blocked, c in group.items():
+                for low, s, add, sub in targets:
+                    if blocked >> s & 1:
+                        continue
+                    b = (blocked & low) | (blocked >> s << (s + 1)) | add
+                    old = sub.get(b)
+                    if old is None:
+                        size += 1
+                        sub[b] = c
                     else:
-                        idx = 4                   # 312
-                    if (mask >> idx) & 1:
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                continue
-        if depth == n - 1:
-            total += 1
-            continue
-        for i in range(depth):
-            if pre[i] >= r:
-                pre[i] += 1
-        pre[depth] = r
-        asc[depth + 1] = a
-        desc[depth + 1] = d
-        depth += 1
-        cand[depth] = 1
-    return total
+                        sub[b] = old + c
+                if size > MAX_STATES:
+                    name = format_pattern_set(
+                        tuple(q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1))
+                    kind = "ballot" if ballot_req else "plain"
+                    raise CapExceededError(
+                        f"counting {kind} {{{name}}} to n={n} needs more than {MAX_STATES:,} "
+                        f"states at n={k + 1}; lower n"
+                    )
+        counts.append(sum(sum(sub.values()) for sub in nxt.values()))
+        table = nxt
+    return counts
 
 
 def _oracle_fill_impl(n, mask, ballot_req, first):
@@ -273,7 +302,6 @@ def _oracle_fill_impl(n, mask, ballot_req, first):
 
 
 pruned_fill_py = _pruned_fill_impl
-pruned_count_py = _pruned_count_impl
 oracle_fill_py = _oracle_fill_impl
 
 _env = os.environ.get("BALLOTKIT_NUMBA", "").strip().lower()
@@ -285,22 +313,18 @@ try:
     from numba import njit
 
     pruned_fill_jit = njit(cache=True, nogil=True)(_pruned_fill_impl)
-    pruned_count_jit = njit(cache=True, nogil=True)(_pruned_count_impl)
     oracle_fill_jit = njit(cache=True, nogil=True)(_oracle_fill_impl)
     NUMBA_ENABLED = True
 except ImportError:
     pruned_fill_jit = None
-    pruned_count_jit = None
     oracle_fill_jit = None
     NUMBA_ENABLED = False
 
 if NUMBA_ENABLED:
     pruned_fill = pruned_fill_jit
-    pruned_count = pruned_count_jit
     oracle_fill = oracle_fill_jit
 else:
     pruned_fill = pruned_fill_py
-    pruned_count = pruned_count_py
     oracle_fill = oracle_fill_py
 
 

@@ -18,6 +18,7 @@ from .enumeration import count_sequence, enumerate_oracle, enumerate_pruned
 from .errors import (
     BallotkitError,
     CapExceededError,
+    ConfigError,
     InvalidInputError,
     UnsupportedClassError,
 )
@@ -54,6 +55,21 @@ def _parse_word_arg(text: str) -> str:
         return check_step_word(text)
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _int_from(low: int):
+    """argparse type: an integer of at least ``low``, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit_json(payload: dict) -> None:
@@ -96,7 +112,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="override the oracle enumeration cap (default 10)")
     sub.add_argument("--pruned-max-n", type=int, default=None,
                      help="override the pruned enumeration cap (default 16)")
-    sub.add_argument("--threads", type=int, default=None,
+    sub.add_argument("--threads", type=_int_from(1), default=None,
                      help="worker threads for partitioned search (default: all cores)")
 
 
@@ -242,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every avoider of one length")
     p.add_argument("--patterns", default="", help='avoidance class, e.g. "132,213"')
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_from(0), required=True)
     p.add_argument("--no-ballot", action="store_true",
                    help="drop the ballot restriction (plain avoiders)")
     p.add_argument("--method", choices=("oracle", "pruned"), default="pruned")
@@ -252,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count avoiders for n = 1..n_max")
     p.add_argument("--patterns", default="")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_from(1), required=True)
     p.add_argument("--no-ballot", action="store_true")
     p.add_argument("--method", choices=("oracle", "pruned", "formula", "both"),
                    default="pruned")
@@ -262,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="evaluate the registered counting rule")
     p.add_argument("--patterns", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_from(1), required=True)
     p.add_argument("--format", choices=("json", "plain"), default="json")
     p.set_defaults(fn=_cmd_formula)
 
@@ -279,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-check suites")
     p.add_argument("--suite", choices=("tables", "formulas", "bijections", "all"),
                    default="all")
-    p.add_argument("--n-max", type=int, default=7)
+    p.add_argument("--n-max", type=_int_from(1), default=7)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_verify)
     return parser
@@ -294,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (UnsupportedClassError, CapExceededError) as exc:
+    except (ConfigError, UnsupportedClassError, CapExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except InvalidInputError as exc:

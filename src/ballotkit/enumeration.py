@@ -1,4 +1,5 @@
-"""Two independent enumerators for pattern-avoiding (ballot) permutations.
+"""Two independent enumerators and a counter for pattern-avoiding (ballot)
+permutations.
 
 ``enumerate_oracle`` filters every permutation of 1..n and is the reference
 everything else is validated against; it refuses lengths above a cap
@@ -6,11 +7,17 @@ everything else is validated against; it refuses lengths above a cap
 position by position and abandons a prefix as soon as it breaks the ballot
 prefix condition or contains a forbidden pattern; both conditions are
 monotone, so the two enumerators agree exactly wherever both run.
-``count_pruned`` produces tallies without materializing elements, which is
-what the large-n sequence checks need.
 
-Pattern sets whose members all have length 3 run on the compiled kernels in
+``count_pruned`` and ``count_sequence`` produce tallies without
+materializing elements.  For length-3 pattern sets they make one pass of the
+transfer-state counter ``_kernels.pruned_count``, which runs interpreted on
+Python ints, does not use numba, and yields every length up to n at once.
+It keeps a bounded number of states per length and raises
+``CapExceededError`` past that bound, as it does past the length cap.
+
+Pattern sets whose members all have length 3 run on the kernels in
 ``_kernels``; anything else takes the generic pure-Python paths below.
+``_count_generic`` also serves as the small-n cross-check of the counter.
 
 Caps and parallelism are configurable per call, by environment variable
 (BALLOTKIT_ORACLE_MAX_N, BALLOTKIT_PRUNED_MAX_N, BALLOTKIT_THREADS), or fall
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from itertools import permutations as _all_perms
 
 from . import _kernels
-from .errors import CapExceededError, InvalidInputError
+from .errors import CapExceededError, ConfigError, InvalidInputError
 from .patterns import (
     LENGTH3_PATTERNS,
     PatternSet,
@@ -49,7 +56,7 @@ def _env_int(name: str, fallback: int) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise InvalidInputError(f"{name} must be an integer, got {raw!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def oracle_max_n() -> int:
@@ -61,7 +68,19 @@ def pruned_max_n() -> int:
 
 
 def default_threads() -> int:
-    return _env_int("BALLOTKIT_THREADS", os.cpu_count() or 1)
+    threads = _env_int("BALLOTKIT_THREADS", os.cpu_count() or 1)
+    if threads < 1:
+        raise ConfigError(f"BALLOTKIT_THREADS must be at least 1, got {threads}")
+    return threads
+
+
+def _check_pruned_cap(n: int, max_n: int | None, what: str) -> None:
+    cap = pruned_max_n() if max_n is None else max_n
+    if n > cap:
+        raise CapExceededError(
+            f"pruned {what} at n={n} exceeds the cap of {cap}; "
+            f"raise BALLOTKIT_PRUNED_MAX_N or max_n to allow it"
+        )
 
 
 @dataclass(frozen=True)
@@ -214,12 +233,7 @@ def enumerate_pruned(
 
     Matches ``enumerate_oracle`` element for element wherever both run.
     """
-    cap = pruned_max_n() if max_n is None else max_n
-    if n > cap:
-        raise CapExceededError(
-            f"pruned enumeration at n={n} exceeds the cap of {cap}; "
-            f"raise BALLOTKIT_PRUNED_MAX_N or max_n to allow it"
-        )
+    _check_pruned_cap(n, max_n, "enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
@@ -242,12 +256,7 @@ def count_pruned(
     max_n: int | None = None,
 ) -> int:
     """|avoiders of length n| without materializing them."""
-    cap = pruned_max_n() if max_n is None else max_n
-    if n > cap:
-        raise CapExceededError(
-            f"pruned counting at n={n} exceeds the cap of {cap}; "
-            f"raise BALLOTKIT_PRUNED_MAX_N or max_n to allow it"
-        )
+    _check_pruned_cap(n, max_n, "counting")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
@@ -256,7 +265,7 @@ def count_pruned(
     mask = _mask3(pset)
     if mask is None:
         return _count_generic(n, pset, ballot)
-    return int(_kernels.pruned_count(n, mask, ballot))
+    return _kernels.pruned_count(n, mask, ballot)[-1]
 
 
 def count_sequence(
@@ -277,9 +286,12 @@ def count_sequence(
             for n in range(1, n_max + 1)
         )
     elif method == "pruned":
-        counts = tuple(
-            count_pruned(n, pset, ballot=ballot, max_n=max_n) for n in range(1, n_max + 1)
-        )
+        _check_pruned_cap(n_max, max_n, "counting")
+        mask = _mask3(pset)
+        if mask is None:
+            counts = tuple(_count_generic(n, pset, ballot) for n in range(1, n_max + 1))
+        else:
+            counts = tuple(_kernels.pruned_count(n_max, mask, ballot))
     else:
         raise InvalidInputError(f"unknown counting method: {method!r}")
     return SequenceRecord(patterns=pset, counts=counts, provenance=method)

@@ -13,11 +13,12 @@ from math import comb
 
 from . import bijections, formulas
 from .enumeration import (
-    count_pruned,
+    count_sequence,
     enumerate_oracle,
     enumerate_pruned,
     oracle_max_n,
 )
+from .errors import InvalidInputError
 from .patterns import (
     ALL_CLASSES,
     PatternSet,
@@ -50,7 +51,7 @@ def check_class(pset: PatternSet, n_max: int, *, with_oracle: bool = True) -> di
     started = time.perf_counter()
     pset = canonical_pattern_set(pset)
     name = format_pattern_set(pset)
-    pruned = [count_pruned(n, pset) for n in range(1, n_max + 1)]
+    pruned = list(count_sequence(pset, n_max).counts)
     oracle = None
     if with_oracle:
         top = min(n_max, oracle_max_n())
@@ -248,6 +249,8 @@ _SUITES = {
 
 def run_suite(suite: str, n_max: int) -> dict:
     """Build the full verification report for one suite (or ``all``)."""
+    if n_max < 1:
+        raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
     started = time.perf_counter()
     if suite == "all":
         rows = []

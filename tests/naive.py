@@ -4,6 +4,7 @@ Deliberately built from nothing but itertools so that it shares no code with
 the package under test: containment checks every subsequence, membership
 filters every permutation.
 """
+from collections import Counter
 from itertools import combinations, permutations
 
 
@@ -38,3 +39,14 @@ def naive_members(n, pats=(), ballot=True):
             continue
         out.append(p)
     return out
+
+
+def naive_census(n_max):
+    """Counter of (n, length-3 patterns contained, is ballot) over every
+    permutation of length 1..n_max, so one pass gives every class's counts."""
+    census = Counter()
+    for n in range(1, n_max + 1):
+        for p in permutations(range(1, n + 1)):
+            found = frozenset(naive_standardize(sub) for sub in combinations(p, 3))
+            census[n, found, naive_is_ballot(p)] += 1
+    return census

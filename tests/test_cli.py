@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ballotkit import verification
 from ballotkit.cli import main, parse_json_output
+from ballotkit.errors import InvalidInputError
 
 
 def run(capsys, *argv):
@@ -147,6 +149,47 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "count", "--patterns", "321", "--n-max", "3",
                        "--method", "oracle", "--oracle-max-n", "2")
     assert code == 2 and "cap" in err
+
+
+def run_exit(capsys, *argv):
+    """Like ``run``, but an argparse rejection counts as its exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_out_of_range_sizes_and_threads_exit_2(capsys, monkeypatch):
+    for argv in (
+        ["enumerate", "--n", "-1"],
+        ["count", "--n-max", "0"],
+        ["formula", "--patterns", "321", "--n", "0"],
+        ["enumerate", "--patterns", "321", "--n", "3", "--threads", "0"],
+        ["count", "--n-max", "3", "--threads", "-2"],
+    ):
+        code, out, err = run_exit(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "at least" in err
+    monkeypatch.setenv("BALLOTKIT_THREADS", "abc")
+    code, out, err = run_exit(capsys, "enumerate", "--patterns", "321", "--n", "3")
+    assert (code, out) == (2, "")
+    assert "BALLOTKIT_THREADS" in err
+
+
+def test_verify_n_max_0_is_usage_error(capsys):
+    code, out, _ = run_exit(capsys, "verify", "--n-max", "0")
+    assert (code, out) == (2, "")
+    with pytest.raises(InvalidInputError):
+        verification.run_suite("tables", 0)
+
+
+def test_count_past_state_bound_exits_2(capsys):
+    code, out, err = run_exit(capsys, "count", "--patterns", "132", "--n-max", "21",
+                              "--pruned-max-n", "21")
+    assert (code, out) == (2, "")
+    assert "{132}" in err and "states" in err
 
 
 def test_cap_flag_allows_large_oracle(capsys):

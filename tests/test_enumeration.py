@@ -1,6 +1,6 @@
 import pytest
 
-from naive import naive_members
+from naive import naive_census, naive_members
 from ballotkit import _kernels
 from ballotkit.enumeration import (
     SequenceRecord,
@@ -13,7 +13,13 @@ from ballotkit.enumeration import (
     enumerate_pruned,
 )
 from ballotkit.errors import CapExceededError, InvalidInputError
-from ballotkit.patterns import ALL_CLASSES, avoids_all, parse_pattern_set
+from ballotkit.patterns import (
+    ALL_CLASSES,
+    LENGTH3_PATTERNS,
+    avoids_all,
+    format_pattern_set,
+    parse_pattern_set,
+)
 from ballotkit.perms import is_ballot
 
 
@@ -92,11 +98,29 @@ def test_backends_agree():
             fill_py = _kernels.pruned_fill_py(n, mask, True, 0)
             fill_sel = _kernels.pruned_fill(n, mask, True, 0)
             assert fill_py.tolist() == fill_sel.tolist()
-            assert _kernels.pruned_count_py(n, mask, True) == int(
-                _kernels.pruned_count(n, mask, True)
-            )
             assert _kernels.oracle_fill_py(n, mask, True, 0).tolist() == \
                 _kernels.oracle_fill(n, mask, True, 0).tolist()
+
+
+def test_counter_matches_brute_force_all_masks():
+    census = naive_census(8)
+    for mask in range(64):
+        forbidden = {q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1}
+        for ballot in (True, False):
+            expected = [0] * 8
+            for (n, found, is_ballot_perm), size in census.items():
+                if (is_ballot_perm or not ballot) and not found & forbidden:
+                    expected[n - 1] += size
+            assert _kernels.pruned_count(8, mask, ballot) == expected, (mask, ballot)
+
+
+def test_every_class_counts_to_16_under_state_bound():
+    # ballot avoiders are a subset of the plain ones at every length
+    for pset in ALL_CLASSES + ((),):
+        ballot = count_sequence(pset, 16).counts
+        plain = count_sequence(pset, 16, ballot=False).counts
+        assert len(ballot) == len(plain) == 16
+        assert all(b <= p for b, p in zip(ballot, plain)), format_pattern_set(pset)
 
 
 def test_partitioned_search_matches_direct(monkeypatch):

@@ -2,8 +2,8 @@ from math import comb
 
 import pytest
 
-from ballotkit.enumeration import count_pruned, enumerate_oracle
-from ballotkit.errors import InvalidInputError, UnsupportedClassError
+from ballotkit.enumeration import count_pruned, count_sequence, enumerate_oracle
+from ballotkit.errors import CapExceededError, InvalidInputError, UnsupportedClassError
 from ballotkit.formulas import (
     REGISTRY,
     catalan,
@@ -156,3 +156,17 @@ def test_formula_vs_pruned_midrange():
         pset = parse_pattern_set(name)
         for n in range(1, 13):
             assert formula_count(pset, n) == count_pruned(n, pset), (name, n)
+
+
+def test_rules_match_counter_far_out():
+    # {132} needs the most transfer states; n = 20 is the largest length it
+    # reaches under the counter's state bound
+    for pset in ALL_CLASSES:
+        spec = get_spec(pset)
+        if spec.evaluator is None:
+            continue
+        top = 20 if spec.class_name == "132" else 40
+        counts = count_sequence(pset, top, max_n=top).counts
+        assert counts == tuple(spec.evaluator(n) for n in range(1, top + 1)), spec.class_name
+    with pytest.raises(CapExceededError):
+        count_sequence(parse_pattern_set("132"), 21, max_n=21)
