@@ -6,10 +6,12 @@ Usage:
 
 Each kernel runs on a workload large enough to dominate call overhead:
 transfer-state counting of three classes, pruned listing of a mid-size
-class, and a full oracle scan.  Every time is the median of ``--repeat``
-runs, printed with its sample count.  The counter always runs interpreted;
-the listing kernels are also timed compiled when numba is available, warmed
-once so that compilation is reported apart from steady-state runtime.
+class, the vectorized oracle scanning every permutation of length 9 and 10,
+and the oracle census of length 8.  Every time is the median of ``--repeat``
+runs, printed with its sample count.  The counter and the oracle always run
+on the interpreter and numpy; the pruned listing kernel is also timed
+compiled when numba is available, warmed once so that compilation is
+reported apart from steady-state runtime.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ import time
 
 from ballotkit._kernels import (
     NUMBA_ENABLED,
-    oracle_fill_jit,
-    oracle_fill_py,
+    oracle_census,
+    oracle_fill,
     pruned_count,
     pruned_fill_jit,
     pruned_fill_py,
@@ -34,15 +36,21 @@ CASES = [
     ("pruned_count {132} n=20", "count", "132", 20),
     ("pruned_fill {132} n=10", "fill", "132", 10),
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9),
+    ("oracle_fill {132,213} n=10", "oracle", "132,213", 10),
+    ("oracle_census n=8", "census", "", 8),
 ]
 
-PY_KERNELS = {"count": pruned_count, "fill": pruned_fill_py, "oracle": oracle_fill_py}
-JIT_KERNELS = {"fill": pruned_fill_jit, "oracle": oracle_fill_jit}
+# the census is memoized per length; time the computation behind the cache
+PY_KERNELS = {"count": pruned_count, "fill": pruned_fill_py, "oracle": oracle_fill,
+              "census": oracle_census.__wrapped__}
+JIT_KERNELS = {"fill": pruned_fill_jit}
 
 
 def _run(kind, fn, mask, n):
     if kind == "count":
         return fn(n, mask, True)
+    if kind == "census":
+        return fn(n)
     return fn(n, mask, True, 0)
 
 
@@ -54,7 +62,12 @@ def _time(kind, fn, mask, n, repeat):
         t0 = time.perf_counter()
         result = _run(kind, fn, mask, n)
         samples.append(time.perf_counter() - t0)
-    size = result[-1] if kind == "count" else len(result)
+    if kind == "count":
+        size = result[-1]
+    elif kind == "census":
+        size = int(result.sum())
+    else:
+        size = len(result)
     return statistics.median(samples), size
 
 
@@ -67,7 +80,7 @@ def main() -> None:
 
     if not NUMBA_ENABLED:
         print("numba backend unavailable (missing or disabled via BALLOTKIT_NUMBA); "
-              "only the interpreted path can be timed")
+              "pruned_fill can be timed interpreted only")
 
     print(f"medians of {args.repeat} run(s) each")
     print(f"{'case':<36} {'python':>10} {'numba':>10} {'speedup':>9}  result")

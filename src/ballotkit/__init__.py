@@ -4,8 +4,9 @@ The package is organized as:
 
 - :mod:`ballotkit.perms` — permutation algebra and textual formats;
 - :mod:`ballotkit.patterns` — containment testing and class names;
-- :mod:`ballotkit.enumeration` — the brute-force oracle, the pruned
-  backtracking enumerator (numba-compiled listing kernels with a
+- :mod:`ballotkit.enumeration` — the brute-force oracle (vectorized with
+  numpy, with a per-length census that counts every class at once), the
+  pruned backtracking enumerator (a numba-compiled listing kernel with a
   pure-Python fallback, selected by BALLOTKIT_NUMBA), and the interpreted
   transfer-state counter;
 - :mod:`ballotkit.formulas` — registered counting rules and reference

@@ -1,23 +1,22 @@
 """Hot enumeration and counting kernels.
 
-The two listing kernels are written once as loops over numpy int64 arrays.
-When numba is importable and the environment variable BALLOTKIT_NUMBA is not
-set to 0/false/off, their public names are the ``@njit``-compiled versions;
-otherwise they are the same functions run by the interpreter.  Both variants
-stay importable (``*_py`` / ``*_jit``) so the benchmark can compare them.
-
 Kernels only understand pattern sets in which every pattern has length 3,
 encoded as a 6-bit mask over the lexicographic pattern order
 123, 132, 213, 231, 312, 321.  Callers route other sets to the generic
 pure-Python paths in ``enumeration``.
 
-There are three kernels:
+There are three kernels and a census:
 
 - ``pruned_fill``: depth-first search over value choices, emitting complete
   permutations in lexicographic order.  A prefix is abandoned as soon as it
   has more descents than ascents (when the ballot flag is set) or a new
   element completes a forbidden triple; both conditions are monotone, so no
-  valid permutation is lost.
+  valid permutation is lost.  It is written once as a loop over numpy int64
+  arrays.  When numba is importable and the environment variable
+  BALLOTKIT_NUMBA is not set to 0/false/off, its public name is the
+  ``@njit``-compiled version; otherwise it is the same function run by the
+  interpreter.  Both variants stay importable (``pruned_fill_py`` /
+  ``pruned_fill_jit``) so the benchmark can compare them.
 - ``pruned_count``: a transfer-state counter (a generating tree in the sense
   of West 1995).  It grows standardized prefixes one rank at a time, but
   keeps only what decides their future: which value sites an earlier pair
@@ -27,12 +26,25 @@ There are three kernels:
   outgrow int64, so it works on Python ints, always runs interpreted and
   does not use numba.  At most ``MAX_STATES`` states are kept per length;
   past that it raises ``CapExceededError``.
-- ``oracle_fill``: filter every permutation of 1..n in lexicographic order.
-  Deliberately free of pruning; this is the independent reference the pruned
-  paths are validated against.
+- ``oracle_fill``: classify every permutation of 1..n and keep the members,
+  in lexicographic order.  Deliberately free of pruning and of the pruned
+  kernels' logic; this is the independent reference the pruned paths are
+  validated against.  It is vectorized with numpy and has no numba variant:
+  the permutations are generated as uint8 blocks, one per fixed prefix (the
+  first value, or the first n - 9 values from n = 11 on, so that no block
+  exceeds 9! rows); each row's ballot flag comes from a cumulative sum of
+  +1/-1 steps, and its set of contained length-3 patterns from one pass over
+  all C(n, 3) position triples, whose comparison codes a lookup table maps
+  to patterns.
+- ``oracle_census``: the same classification tallied by (set of contained
+  patterns, ballot flag), memoized per length, so one scan of length n
+  gives the oracle count of every class.
 """
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import os
 
 import numpy as np
@@ -214,95 +226,130 @@ def pruned_count(n, mask, ballot_req):
     return counts
 
 
-def _oracle_fill_impl(n, mask, ballot_req, first):
-    """Filter all n! permutations (or the (n-1)! block starting with ``first``)."""
-    cap = 256
-    out = np.empty((cap, n), dtype=np.int64)
-    total = 0
-    perm = np.empty(n, dtype=np.int64)
-    if first > 0:
-        perm[0] = first
-        k = 1
-        for v in range(1, n + 1):
-            if v != first:
-                perm[k] = v
-                k += 1
-        lo = 1
-    else:
-        for i in range(n):
-            perm[i] = i + 1
-        lo = 0
-    while True:
-        ok = True
-        if ballot_req:
-            a = 0
-            d = 0
-            for i in range(n - 1):
-                if perm[i] < perm[i + 1]:
-                    a += 1
-                else:
-                    d += 1
-                if d > a:
-                    ok = False
-                    break
-        if ok and mask != 0:
-            for k in range(2, n):
-                v = perm[k]
-                for j in range(k - 1, 0, -1):
-                    y = perm[j]
-                    for i in range(j - 1, -1, -1):
-                        x = perm[i]
-                        if x < y:
-                            if y < v:
-                                idx = 0
-                            elif v < x:
-                                idx = 3
-                            else:
-                                idx = 1
-                        else:
-                            if v > x:
-                                idx = 2
-                            elif v < y:
-                                idx = 5
-                            else:
-                                idx = 4
-                        if (mask >> idx) & 1:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if ok:
-            if total == cap:
-                newcap = cap * 2
-                grown = np.empty((newcap, n), dtype=np.int64)
-                grown[:cap] = out
-                out = grown
-                cap = newcap
-            out[total, :] = perm
-            total += 1
-        # next permutation of perm[lo:], in place
-        i = n - 2
-        while i >= lo and perm[i] >= perm[i + 1]:
-            i -= 1
-        if i < lo:
-            break
-        j = n - 1
-        while perm[j] <= perm[i]:
-            j -= 1
-        perm[i], perm[j] = perm[j], perm[i]
-        left = i + 1
-        right = n - 1
-        while left < right:
-            perm[left], perm[right] = perm[right], perm[left]
-            left += 1
-            right -= 1
-    return out[:total]
+#: Most values a block of the oracle leaves free behind its fixed prefix, so
+#: that no block holds more than 9! = 362,880 rows.
+_FREE_MAX = 9
 
+
+def _codes_to_patterns():
+    """Lookup table from a set of triple comparison codes (8 bits) to the
+    6-bit set of length-3 patterns those codes stand for.
+
+    The comparison code of values a, b, c at positions i < j < k is
+    4 [a < b] + 2 [a < c] + [b < c]; codes 2 and 5 cannot occur.
+    """
+    bit_of_code = [0] * 8
+    for index, (a, b, c) in enumerate(LENGTH3_PATTERNS):
+        bit_of_code[4 * (a < b) + 2 * (a < c) + (b < c)] = 1 << index
+    return np.array(
+        [sum(bit for code, bit in enumerate(bit_of_code) if codes >> code & 1)
+         for codes in range(256)],
+        dtype=np.uint8,
+    )
+
+
+_PATTERNS_OF_CODES = _codes_to_patterns()
+
+
+@functools.cache
+def _lex_perms(k):
+    """Every permutation of 0..k-1 as a read-only (k!, k) uint8 array, lex order."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
+    out = np.fromiter(flat, dtype=np.uint8, count=math.factorial(k) * k)
+    out = out.reshape(math.factorial(k), k)
+    out.flags.writeable = False
+    return out
+
+
+def _oracle_blocks(n, first):
+    """Every permutation of 1..n, or those starting with ``first`` when it is
+    positive, as (rows, n) uint8 blocks in lex order: one block per prefix of
+    max(1, n - _FREE_MAX) values, followed by every order of the rest."""
+    fixed = max(1, n - _FREE_MAX)
+    tail = _lex_perms(n - fixed)
+    for prefix in itertools.permutations(range(1, n + 1), fixed):
+        if first > 0 and prefix[0] != first:
+            continue
+        block = np.empty((len(tail), n), dtype=np.uint8)
+        block[:, :fixed] = prefix
+        rest = block[:, fixed:]
+        np.add(tail, 1, out=rest)
+        for v in sorted(prefix):
+            rest += rest >= v  # step over the values the prefix holds
+        yield block
+
+
+def _classify(block):
+    """Each row's 6-bit set of contained length-3 patterns, and its ballot flag.
+
+    The ballot flag is a cumulative sum of +1 (ascent) and -1 (descent)
+    steps that never goes below zero.  Every one of the C(n, 3) position
+    triples of every row is classified: a triple's factors are 16 for
+    a < b, 4 for a < c and 2 for b < c (1 where the comparison fails), so
+    their product is 1 << code, and OR-ing the products over all triples
+    gives each row's set of comparison codes.
+    """
+    m, n = block.shape
+    cols = np.ascontiguousarray(block.T)
+    steps = (cols[1:] > cols[:-1]).view(np.int8) * np.int8(2) - np.int8(1)
+    ballot = (np.cumsum(steps, axis=0, dtype=np.int8) >= 0).all(axis=0)
+
+    def factor(i, j, below):
+        """``below`` where the value at position i is below the one at j, else 1."""
+        f = (cols[i] < cols[j]).view(np.uint8)
+        f *= below - 1
+        f += 1
+        return f
+
+    bc = {(j, k): factor(j, k, 2) for j in range(1, n - 1) for k in range(j + 1, n)}
+    codes = np.zeros(m, dtype=np.uint8)
+    one_hot = np.empty(m, dtype=np.uint8)
+    for i in range(n - 2):
+        ac = {k: factor(i, k, 4) for k in range(i + 2, n)}
+        for j in range(i + 1, n - 1):
+            ab = factor(i, j, 16)
+            for k in range(j + 1, n):
+                np.multiply(ab, ac[k], out=one_hot)
+                one_hot *= bc[j, k]
+                codes |= one_hot
+    return _PATTERNS_OF_CODES[codes], ballot
+
+
+def oracle_fill(n, mask, ballot_req, first):
+    """Members of the class at length n as an (m, n) uint8 array, lex order.
+
+    Classifies every permutation of 1..n (or every one starting with
+    ``first`` when it is positive) and keeps those that contain no pattern
+    of ``mask`` and, when ``ballot_req`` is set, are ballot.
+    """
+    kept = []
+    for block in _oracle_blocks(n, first):
+        patterns, ballot = _classify(block)
+        keep = (patterns & mask) == 0
+        if ballot_req:
+            keep &= ballot
+        kept.append(block[keep])
+    return np.concatenate(kept) if kept else np.empty((0, n), dtype=np.uint8)
+
+
+@functools.cache
+def oracle_census(n):
+    """Every permutation of length n tallied by what the oracle sees in it.
+
+    A read-only (64, 2) int64 table: entry [s, b] counts the permutations
+    whose set of contained length-3 patterns is the 6-bit set s and whose
+    ballot flag is b.  One classification of length n thus gives the oracle
+    count of every class, ballot and plain; it is computed once per n.
+    """
+    table = np.zeros(128, dtype=np.int64)
+    for block in _oracle_blocks(n, 0):
+        patterns, ballot = _classify(block)
+        table += np.bincount(patterns.astype(np.intp) * 2 + ballot, minlength=128)
+    table = table.reshape(64, 2)
+    table.flags.writeable = False
+    return table
 
 pruned_fill_py = _pruned_fill_impl
-oracle_fill_py = _oracle_fill_impl
 
 _env = os.environ.get("BALLOTKIT_NUMBA", "").strip().lower()
 _disabled = _env in ("0", "false", "off", "no")
@@ -313,19 +360,12 @@ try:
     from numba import njit
 
     pruned_fill_jit = njit(cache=True, nogil=True)(_pruned_fill_impl)
-    oracle_fill_jit = njit(cache=True, nogil=True)(_oracle_fill_impl)
     NUMBA_ENABLED = True
 except ImportError:
     pruned_fill_jit = None
-    oracle_fill_jit = None
     NUMBA_ENABLED = False
 
-if NUMBA_ENABLED:
-    pruned_fill = pruned_fill_jit
-    oracle_fill = oracle_fill_jit
-else:
-    pruned_fill = pruned_fill_py
-    oracle_fill = oracle_fill_py
+pruned_fill = pruned_fill_jit if NUMBA_ENABLED else pruned_fill_py
 
 
 def backend_name() -> str:

@@ -146,9 +146,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
             sys.stderr.write(f"no formula registered for {{{name}}}\n")
             return EXIT_USAGE
     elif args.method == "both":
-        record = count_sequence(pset, args.n_max, "pruned", ballot=ballot)
+        if not ballot:
+            raise _UsageError("--method both compares with the rules and tables of ballot "
+                              "avoiders; it cannot be combined with --no-ballot")
         rule = formulas.formula_sequence(pset, args.n_max)
         prefix = formulas.reference_prefix(pset)
+        if rule is None and prefix is None:
+            raise _UsageError(f"--method both has nothing to compare: {{{name}}} has no "
+                              "registered rule and no published prefix")
+        record = count_sequence(pset, args.n_max, "pruned", ballot=ballot)
         for other in (rule, prefix):
             if other is None:
                 continue

@@ -1,12 +1,14 @@
 """Two independent enumerators and a counter for pattern-avoiding (ballot)
 permutations.
 
-``enumerate_oracle`` filters every permutation of 1..n and is the reference
-everything else is validated against; it refuses lengths above a cap
-(default 10, 10! = 3.6M candidates).  ``enumerate_pruned`` grows permutations
-position by position and abandons a prefix as soon as it breaks the ballot
-prefix condition or contains a forbidden pattern; both conditions are
-monotone, so the two enumerators agree exactly wherever both run.
+``enumerate_oracle`` classifies every permutation of 1..n and is the
+reference everything else is validated against; it refuses lengths above a
+cap (default 10, 10! = 3.6M candidates).  Its kernel ``_kernels.oracle_fill``
+is vectorized with numpy and scans the permutations in blocks of at most 9!
+rows, so it needs no thread partition.  ``enumerate_pruned`` grows
+permutations position by position and abandons a prefix as soon as it breaks
+the ballot prefix condition or contains a forbidden pattern; both conditions
+are monotone, so the two enumerators agree exactly wherever both run.
 
 ``count_pruned`` and ``count_sequence`` produce tallies without
 materializing elements.  For length-3 pattern sets they make one pass of the
@@ -14,6 +16,9 @@ transfer-state counter ``_kernels.pruned_count``, which runs interpreted on
 Python ints, does not use numba, and yields every length up to n at once.
 It keeps a bounded number of states per length and raises
 ``CapExceededError`` past that bound, as it does past the length cap.
+``count_sequence(..., "oracle")`` reads length-3 classes off the oracle's
+census (``_kernels.oracle_census``): one memoized classification per length
+counts every class, ballot and plain, without listing any of them.
 
 Pattern sets whose members all have length 3 run on the kernels in
 ``_kernels``; anything else takes the generic pure-Python paths below.
@@ -21,7 +26,7 @@ Pattern sets whose members all have length 3 run on the kernels in
 
 Caps and parallelism are configurable per call, by environment variable
 (BALLOTKIT_ORACLE_MAX_N, BALLOTKIT_PRUNED_MAX_N, BALLOTKIT_THREADS), or fall
-back to the defaults.
+back to the defaults.  Threads partition only the pruned listing.
 """
 from __future__ import annotations
 
@@ -74,6 +79,15 @@ def default_threads() -> int:
     return threads
 
 
+def _check_oracle_cap(n: int, max_n: int | None, what: str) -> None:
+    cap = oracle_max_n() if max_n is None else max_n
+    if n > cap:
+        raise CapExceededError(
+            f"oracle {what} at n={n} exceeds the cap of {cap} "
+            f"({n}! candidates); raise BALLOTKIT_ORACLE_MAX_N or max_n to allow it"
+        )
+
+
 def _check_pruned_cap(n: int, max_n: int | None, what: str) -> None:
     cap = pruned_max_n() if max_n is None else max_n
     if n > cap:
@@ -114,6 +128,13 @@ def _mask3(pset: PatternSet) -> int | None:
 
 def _rows_to_perms(rows) -> list[Perm]:
     return [tuple(int(v) for v in row) for row in rows]
+
+
+def _census_count(n: int, mask: int, ballot: bool) -> int:
+    """|avoiders of length n| read off the oracle's census of length n."""
+    table = _kernels.oracle_census(n)
+    avoiders = table[[s for s in range(64) if not s & mask]]
+    return int(avoiders[:, 1].sum() if ballot else avoiders.sum())
 
 
 def _partition_firsts(kernel, n: int, mask: int, ballot: bool, threads: int) -> list[Perm]:
@@ -198,12 +219,7 @@ def enumerate_oracle(
 
     Refuses n above the oracle cap; pass ``max_n`` to override it.
     """
-    cap = oracle_max_n() if max_n is None else max_n
-    if n > cap:
-        raise CapExceededError(
-            f"oracle enumeration at n={n} exceeds the cap of {cap} "
-            f"({n}! candidates); raise BALLOTKIT_ORACLE_MAX_N or max_n to allow it"
-        )
+    _check_oracle_cap(n, max_n, "enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
@@ -216,9 +232,6 @@ def enumerate_oracle(
             for p in _all_perms(range(1, n + 1))
             if (not ballot or is_ballot(p)) and avoids_all(p, pset)
         ]
-    threads = default_threads()
-    if threads > 1 and n >= _PARTITION_MIN_N:
-        return _partition_firsts(_kernels.oracle_fill, n, mask, ballot, threads)
     return _rows_to_perms(_kernels.oracle_fill(n, mask, ballot, 0))
 
 
@@ -281,10 +294,15 @@ def count_sequence(
         raise InvalidInputError("n_max must be at least 1")
     pset = canonical_pattern_set(patterns)
     if method == "oracle":
-        counts = tuple(
-            len(enumerate_oracle(n, pset, ballot=ballot, max_n=max_n))
-            for n in range(1, n_max + 1)
-        )
+        _check_oracle_cap(n_max, max_n, "counting")
+        mask = _mask3(pset)
+        if mask is None:
+            counts = tuple(
+                len(enumerate_oracle(n, pset, ballot=ballot, max_n=max_n))
+                for n in range(1, n_max + 1)
+            )
+        else:
+            counts = tuple(_census_count(n, mask, ballot) for n in range(1, n_max + 1))
     elif method == "pruned":
         _check_pruned_cap(n_max, max_n, "counting")
         mask = _mask3(pset)

@@ -7,7 +7,9 @@ the walk-enumerated ones) have no usable rule and are recorded with their
 reference prefix only.
 
 Every class also stores its published reference prefix verbatim, so counts
-can be diffed against the literature without network access.
+can be diffed against the literature without network access.  The
+unrestricted class (no pattern) is outside that catalogue; its rule, the
+odd-order formula, is kept apart as ``UNRESTRICTED``.
 
 Two registered rules deliberately differ from a published expression that is
 off by one in n; those carry ``corrected=True`` and the superseded reading
@@ -171,6 +173,30 @@ _SPECS = [
 
 REGISTRY: dict[str, FormulaSpec] = {spec.class_name: spec for spec in _SPECS}
 
+
+def _double_factorial(k: int) -> int:
+    out = 1
+    for f in range(k, 1, -2):
+        out *= f
+    return out
+
+
+def _odd_order(n: int) -> int:
+    """The number of permutations of 1..n whose order is odd."""
+    if n % 2 == 0:
+        return _double_factorial(n - 1) ** 2
+    return n * _double_factorial(n - 2) ** 2
+
+
+#: The unrestricted class, outside the catalogue above: ballot permutations
+#: are equinumerous with permutations of odd order (Bernardi, Duplantier,
+#: Nadeau 2010).  Its prefix is that sequence, OEIS A000246, from n = 1.
+UNRESTRICTED = FormulaSpec(
+    "", "closed-form", "((n-1)!!)^2 for even n; n * ((n-2)!!)^2 for odd n",
+    (1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025),
+    _odd_order,
+)
+
 #: Step rules usable once enough history exists: class -> (min history, step).
 _RECURRENCES: dict[str, tuple[int, Callable[[Sequence[int]], int]]] = {
     "231,312,321": (2, lambda h: h[-1] + h[-2]),
@@ -187,8 +213,9 @@ _SHIFTED_RULES: dict[str, Callable[[int], int]] = {
 
 
 def get_spec(patterns: PatternSet) -> FormulaSpec | None:
-    """The registered rule for a class, or None when uncatalogued."""
-    return REGISTRY.get(format_pattern_set(canonical_pattern_set(patterns)))
+    """The registered rule for a class, or None when it has none."""
+    name = format_pattern_set(canonical_pattern_set(patterns))
+    return UNRESTRICTED if name == UNRESTRICTED.class_name else REGISTRY.get(name)
 
 
 def formula_count(patterns: PatternSet, n: int) -> int | None:

@@ -55,7 +55,7 @@ def check_class(pset: PatternSet, n_max: int, *, with_oracle: bool = True) -> di
     oracle = None
     if with_oracle:
         top = min(n_max, oracle_max_n())
-        oracle = [len(enumerate_oracle(n, pset)) for n in range(1, top + 1)]
+        oracle = list(count_sequence(pset, top, "oracle").counts) if top >= 1 else []
     spec = formulas.get_spec(pset)
     formula = None
     if spec is not None and spec.evaluator is not None:

@@ -192,6 +192,21 @@ def test_count_past_state_bound_exits_2(capsys):
     assert "{132}" in err and "states" in err
 
 
+def test_count_both_needs_ballot_and_something_to_compare(capsys):
+    code, out, err = run_exit(capsys, "count", "--patterns", "321", "--n-max", "4",
+                              "--no-ballot", "--method", "both")
+    assert (code, out) == (2, "")
+    assert "--no-ballot" in err
+    code, out, err = run_exit(capsys, "count", "--patterns", "1234", "--n-max", "4",
+                              "--method", "both")
+    assert (code, out) == (2, "")
+    assert "nothing to compare" in err
+    # the unrestricted class is checked against the odd-order rule
+    code, out, _ = run(capsys, "count", "--n-max", "9", "--method", "both")
+    assert code == 0
+    assert out.splitlines()[-1] == "9 99225"
+
+
 def test_cap_flag_allows_large_oracle(capsys):
     code, out, _ = run(capsys, "count", "--patterns", "123,132", "--n-max", "11",
                        "--method", "oracle", "--oracle-max-n", "11")

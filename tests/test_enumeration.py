@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from naive import naive_census, naive_members
@@ -98,12 +100,74 @@ def test_backends_agree():
             fill_py = _kernels.pruned_fill_py(n, mask, True, 0)
             fill_sel = _kernels.pruned_fill(n, mask, True, 0)
             assert fill_py.tolist() == fill_sel.tolist()
-            assert _kernels.oracle_fill_py(n, mask, True, 0).tolist() == \
-                _kernels.oracle_fill(n, mask, True, 0).tolist()
 
 
-def test_counter_matches_brute_force_all_masks():
-    census = naive_census(8)
+@pytest.fixture(scope="module")
+def census():
+    return naive_census(8)
+
+
+def _forbidden(mask):
+    return [q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1]
+
+
+def test_oracle_rows_match_naive_all_masks():
+    for mask in range(64):
+        for ballot in (True, False):
+            for n in range(1, 8):
+                rows = _kernels.oracle_fill(n, mask, ballot, 0).tolist()
+                assert [tuple(r) for r in rows] == naive_members(n, _forbidden(mask), ballot), (
+                    mask, ballot, n)
+
+
+def test_oracle_blocks_by_longer_prefixes(monkeypatch):
+    # lengths past 9 fix more than the first value per block; shrink the
+    # free part so that small lengths take that path, and restrict the
+    # first value the way a caller may
+    expected = {(n, mask): _kernels.oracle_fill(n, mask, True, 0).tolist()
+                for n in range(1, 7) for mask in (0, 6, 40)}
+    monkeypatch.setattr(_kernels, "_FREE_MAX", 3)
+    for (n, mask), rows in expected.items():
+        assert _kernels.oracle_fill(n, mask, True, 0).tolist() == rows, (n, mask)
+        by_first = [_kernels.oracle_fill(n, mask, True, v).tolist() for v in range(1, n + 1)]
+        assert [r for chunk in by_first for r in chunk] == rows, (n, mask)
+        assert all(r[0] == v for v, chunk in enumerate(by_first, 1) for r in chunk)
+
+
+def test_oracle_census_matches_naive_census(census):
+    for n in range(1, 9):
+        expected = [[0, 0] for _ in range(64)]
+        for (length, found, is_ballot_perm), size in census.items():
+            if length == n:
+                contained = sum(1 << i for i, q in enumerate(LENGTH3_PATTERNS) if q in found)
+                expected[contained][is_ballot_perm] += size
+        assert _kernels.oracle_census(n).tolist() == expected, n
+    for mask in range(64):
+        pset = tuple(_forbidden(mask))
+        for ballot in (True, False):
+            assert count_sequence(pset, 8, "oracle", ballot=ballot).counts == \
+                count_sequence(pset, 8, ballot=ballot).counts, (mask, ballot)
+
+
+def test_oracle_memory_is_bounded():
+    # numpy reports its buffers to tracemalloc; blocks of at most 9! rows
+    # keep a scan of all 10! permutations well inside the budget
+    budget = 64 * 2**20
+    _kernels.oracle_census.cache_clear()
+    tracemalloc.start()
+    try:
+        assert count_sequence(parse_pattern_set("123,132"), 10, "oracle").counts[-1] == 1
+        counting_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert len(enumerate_oracle(10, parse_pattern_set("132,213"))) == 126
+        listing_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counting_peak < budget, counting_peak
+    assert listing_peak < budget, listing_peak
+
+
+def test_counter_matches_brute_force_all_masks(census):
     for mask in range(64):
         forbidden = {q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1}
         for ballot in (True, False):

@@ -6,6 +6,7 @@ from ballotkit.enumeration import count_pruned, count_sequence, enumerate_oracle
 from ballotkit.errors import CapExceededError, InvalidInputError, UnsupportedClassError
 from ballotkit.formulas import (
     REGISTRY,
+    UNRESTRICTED,
     catalan,
     formula_count,
     formula_sequence,
@@ -44,6 +45,15 @@ def test_registry_covers_catalogue():
         record = reference_prefix(pset)
         assert record.counts == spec.prefix
         assert record.provenance == "paper-table"
+
+
+def test_unrestricted_class_has_the_odd_order_rule():
+    spec = get_spec(())
+    assert spec is UNRESTRICTED and spec.class_name not in REGISTRY
+    assert formula_count((), 9) == 99225
+    assert formula_sequence((), 10).counts == spec.prefix == \
+        count_sequence((), 10, "oracle").counts
+    assert formula_sequence((), 16).counts == count_sequence((), 16).counts
 
 
 def test_reference_prefix_examples():
