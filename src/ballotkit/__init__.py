@@ -6,16 +6,15 @@ The package is organized as:
 - :mod:`ballotkit.patterns` — containment testing and class names;
 - :mod:`ballotkit.enumeration` — the brute-force oracle (vectorized with
   numpy, with a per-length census that counts every class at once), the
-  pruned backtracking enumerator (a numba-compiled listing kernel with a
-  pure-Python fallback, selected by BALLOTKIT_NUMBA), and the interpreted
-  transfer-state counter;
+  pruned backtracking enumerator, and the transfer-state counter, which
+  share one rule for the values each entry blocks;
 - :mod:`ballotkit.formulas` — registered counting rules and reference
   sequence prefixes;
 - :mod:`ballotkit.bijections` — descent-word reconstructions, insertion
   maps, and recursive generators;
 - :mod:`ballotkit.cli` — the ``ballotkit`` command.
 """
-from ._kernels import NUMBA_ENABLED, backend_name
+from ._kernels import backend_name
 from .bijections import (
     DESCENT_WORD_FAMILIES,
     WilfFamily,

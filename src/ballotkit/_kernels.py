@@ -5,37 +5,33 @@ encoded as a 6-bit mask over the lexicographic pattern order
 123, 132, 213, 231, 312, 321.  Callers route other sets to the generic
 pure-Python paths in ``enumeration``.
 
-There are three kernels and a census:
+There are three kernels and a census.  All run on the interpreter and
+numpy.
 
-- ``pruned_fill``: depth-first search over value choices, emitting complete
-  permutations in lexicographic order.  A prefix is abandoned as soon as it
-  has more descents than ascents (when the ballot flag is set) or a new
-  element completes a forbidden triple; both conditions are monotone, so no
-  valid permutation is lost.  It is written once as a loop over numpy int64
-  arrays.  When numba is importable and the environment variable
-  BALLOTKIT_NUMBA is not set to 0/false/off, its public name is the
-  ``@njit``-compiled version; otherwise it is the same function run by the
-  interpreter.  Both variants stay importable (``pruned_fill_py`` /
-  ``pruned_fill_jit``) so the benchmark can compare them.
 - ``pruned_count``: a transfer-state counter (a generating tree in the sense
   of West 1995).  It grows standardized prefixes one rank at a time, but
   keeps only what decides their future: which value sites an earlier pair
   already blocks, the rank of the last entry, and the ascent-minus-descent
   height.  A ``{state: multiplicity}`` table is carried forward one length
   at a time, so one pass yields the counts of every length up to n.  Counts
-  outgrow int64, so it works on Python ints, always runs interpreted and
-  does not use numba.  At most ``MAX_STATES`` states are kept per length;
-  past that it raises ``CapExceededError``.
+  outgrow int64, so it works on Python ints.  At most ``MAX_STATES`` states
+  are kept per length; past that it raises ``CapExceededError``.
+- ``pruned_fill``: depth-first search over value choices, emitting complete
+  permutations in lexicographic order.  It carries the counter's state for
+  one prefix and skips a value as soon as it would complete a forbidden
+  triple or, with the ballot flag, give more descents than ascents; both
+  conditions are monotone, so no valid permutation is lost.  Which sites
+  the entries block is stated once, in ``_blocked_by``, for both kernels.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
-  validated against.  It is vectorized with numpy and has no numba variant:
-  the permutations are generated as uint8 blocks, one per fixed prefix (the
-  first value, or the first n - 9 values from n = 11 on, so that no block
-  exceeds 9! rows); each row's ballot flag comes from a cumulative sum of
-  +1/-1 steps, and its set of contained length-3 patterns from one pass over
-  all C(n, 3) position triples, whose comparison codes a lookup table maps
-  to patterns.
+  validated against.  It is vectorized with numpy: the permutations are
+  generated as uint8 blocks, one per fixed prefix (the first value, or the
+  first n - 9 values from n = 11 on, so that no block exceeds 9! rows);
+  each row's ballot flag comes from a cumulative sum of +1/-1 steps, and
+  its set of contained length-3 patterns from one pass over all C(n, 3)
+  position triples, whose comparison codes a lookup table maps to
+  patterns.
 - ``oracle_census``: the same classification tallied by (set of contained
   patterns, ballot flag), memoized per length, so one scan of length n
   gives the oracle count of every class.
@@ -45,7 +41,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 
 import numpy as np
 
@@ -54,87 +49,6 @@ from .patterns import LENGTH3_PATTERNS, format_pattern_set
 
 #: Most states ``pruned_count`` keeps for one length (under 20 MB of tables).
 MAX_STATES = 100_000
-
-
-def _pruned_fill_impl(n, mask, ballot_req, first):
-    """Members of the class at length n as an (m, n) int64 array, lex order.
-
-    ``first`` > 0 restricts position 0 to that value (search-tree partition).
-    """
-    cap = 256
-    out = np.empty((cap, n), dtype=np.int64)
-    total = 0
-    perm = np.zeros(n, dtype=np.int64)
-    used = np.zeros(n + 1, dtype=np.bool_)
-    asc = np.zeros(n + 1, dtype=np.int64)
-    desc = np.zeros(n + 1, dtype=np.int64)
-    cand = np.zeros(n, dtype=np.int64)
-    depth = 0
-    cand[0] = first if first > 0 else 1
-    hi0 = first if first > 0 else n
-    while depth >= 0:
-        v = cand[depth]
-        cand[depth] += 1
-        if v > n or (depth == 0 and v > hi0):
-            depth -= 1
-            if depth >= 0:
-                used[perm[depth]] = False
-            continue
-        if used[v]:
-            continue
-        a = asc[depth]
-        d = desc[depth]
-        if depth > 0:
-            if perm[depth - 1] < v:
-                a += 1
-            else:
-                d += 1
-            if ballot_req and d > a:
-                continue
-        if mask != 0 and depth >= 2:
-            bad = False
-            for j in range(depth - 1, 0, -1):
-                y = perm[j]
-                for i in range(j - 1, -1, -1):
-                    x = perm[i]
-                    if x < y:
-                        if y < v:
-                            idx = 0  # 123
-                        elif v < x:
-                            idx = 3  # 231
-                        else:
-                            idx = 1  # 132
-                    else:
-                        if v > x:
-                            idx = 2  # 213
-                        elif v < y:
-                            idx = 5  # 321
-                        else:
-                            idx = 4  # 312
-                    if (mask >> idx) & 1:
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                continue
-        perm[depth] = v
-        if depth == n - 1:
-            if total == cap:
-                newcap = cap * 2
-                grown = np.empty((newcap, n), dtype=np.int64)
-                grown[:cap] = out
-                out = grown
-                cap = newcap
-            out[total, :] = perm
-            total += 1
-            continue
-        used[v] = True
-        asc[depth + 1] = a
-        desc[depth + 1] = d
-        depth += 1
-        cand[depth] = 1
-    return out[:total]
 
 
 def _sites(lo, hi):
@@ -224,6 +138,48 @@ def pruned_count(n, mask, ballot_req):
         counts.append(sum(sum(sub.values()) for sub in nxt.values()))
         table = nxt
     return counts
+
+
+def pruned_fill(n, mask, ballot_req, first):
+    """Members of the class at length n as an (m, n) array, lex order.
+
+    ``first`` > 0 restricts position 0 to that value.  A depth-first search
+    over values carries the counter's state: the bitmask of blocked sites,
+    the last value and the height.  The site of an unused value is the
+    number of used values below it.  A value in a blocked site would
+    complete a forbidden triple, and with the ballot flag a descent may not
+    take the height below zero; either way the value is skipped.  Placing a
+    value splits its site and adds ``_blocked_by``, as in ``pruned_count``.
+    """
+    adds = [_blocked_by(mask, k) for k in range(n)]
+    used = [False] * (n + 1)
+    perm = [0] * n
+    rows = []
+
+    def extend(k, blocked, last, height):
+        if k == n:
+            rows.append(tuple(perm))
+            return
+        add = adds[k]
+        s = 0
+        for v in range(1, n + 1):
+            if used[v]:
+                s += 1
+            elif not blocked >> s & 1:
+                h = height + 1 if v > last else height - 1
+                if h >= 0 or not ballot_req:
+                    used[v] = True
+                    perm[k] = v
+                    extend(k + 1, (blocked & ((2 << s) - 1)) | (blocked >> s << (s + 1)) | add[s],
+                           v, h)
+                    used[v] = False
+
+    for v in [first] if first > 0 else range(1, n + 1):
+        used[v] = True
+        perm[0] = v
+        extend(1, 0, v, 0)
+        used[v] = False
+    return np.array(rows, dtype=np.min_scalar_type(n)).reshape(len(rows), n)
 
 
 #: Most values a block of the oracle leaves free behind its fixed prefix, so
@@ -349,24 +305,7 @@ def oracle_census(n):
     table.flags.writeable = False
     return table
 
-pruned_fill_py = _pruned_fill_impl
-
-_env = os.environ.get("BALLOTKIT_NUMBA", "").strip().lower()
-_disabled = _env in ("0", "false", "off", "no")
-
-try:
-    if _disabled:
-        raise ImportError("numba disabled via BALLOTKIT_NUMBA")
-    from numba import njit
-
-    pruned_fill_jit = njit(cache=True, nogil=True)(_pruned_fill_impl)
-    NUMBA_ENABLED = True
-except ImportError:
-    pruned_fill_jit = None
-    NUMBA_ENABLED = False
-
-pruned_fill = pruned_fill_jit if NUMBA_ENABLED else pruned_fill_py
-
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "python"
+    """The backend every kernel runs on: the interpreter and numpy."""
+    return "python"

@@ -90,8 +90,7 @@ def _cap_flags(args: argparse.Namespace):
     # flags win over the environment for the duration of the command only
     overrides = {}
     for attr, env in (("oracle_max_n", "BALLOTKIT_ORACLE_MAX_N"),
-                      ("pruned_max_n", "BALLOTKIT_PRUNED_MAX_N"),
-                      ("threads", "BALLOTKIT_THREADS")):
+                      ("pruned_max_n", "BALLOTKIT_PRUNED_MAX_N")):
         value = getattr(args, attr, None)
         if value is not None:
             overrides[env] = str(value)
@@ -108,12 +107,10 @@ def _cap_flags(args: argparse.Namespace):
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--oracle-max-n", type=int, default=None,
+    sub.add_argument("--oracle-max-n", type=_int_from(1), default=None,
                      help="override the oracle enumeration cap (default 10)")
-    sub.add_argument("--pruned-max-n", type=int, default=None,
+    sub.add_argument("--pruned-max-n", type=_int_from(1), default=None,
                      help="override the pruned enumeration cap (default 16)")
-    sub.add_argument("--threads", type=_int_from(1), default=None,
-                     help="worker threads for partitioned search (default: all cores)")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -140,15 +137,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
     pset = _parse_pset_arg(args.patterns)
     name = format_pattern_set(pset)
     ballot = not args.no_ballot
+    if args.method in ("formula", "both") and not ballot:
+        raise _UsageError(f"--method {args.method} uses the rules and tables of ballot "
+                          "avoiders; it cannot be combined with --no-ballot")
     if args.method == "formula":
         record = formulas.formula_sequence(pset, args.n_max)
         if record is None:
             sys.stderr.write(f"no formula registered for {{{name}}}\n")
             return EXIT_USAGE
     elif args.method == "both":
-        if not ballot:
-            raise _UsageError("--method both compares with the rules and tables of ballot "
-                              "avoiders; it cannot be combined with --no-ballot")
         rule = formulas.formula_sequence(pset, args.n_max)
         prefix = formulas.reference_prefix(pset)
         if rule is None and prefix is None:

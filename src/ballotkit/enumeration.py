@@ -5,15 +5,17 @@ permutations.
 reference everything else is validated against; it refuses lengths above a
 cap (default 10, 10! = 3.6M candidates).  Its kernel ``_kernels.oracle_fill``
 is vectorized with numpy and scans the permutations in blocks of at most 9!
-rows, so it needs no thread partition.  ``enumerate_pruned`` grows
-permutations position by position and abandons a prefix as soon as it breaks
-the ballot prefix condition or contains a forbidden pattern; both conditions
-are monotone, so the two enumerators agree exactly wherever both run.
+rows.  ``enumerate_pruned`` grows permutations position by position and
+abandons a prefix as soon as it breaks the ballot prefix condition or
+contains a forbidden pattern; both conditions are monotone, so the two
+enumerators agree exactly wherever both run.  Its kernel
+``_kernels.pruned_fill`` tracks the forbidden values with the counter's
+blocked-sites state and is called once per first value.
 
 ``count_pruned`` and ``count_sequence`` produce tallies without
 materializing elements.  For length-3 pattern sets they make one pass of the
 transfer-state counter ``_kernels.pruned_count``, which runs interpreted on
-Python ints, does not use numba, and yields every length up to n at once.
+Python ints and yields every length up to n at once.
 It keeps a bounded number of states per length and raises
 ``CapExceededError`` past that bound, as it does past the length cap.
 ``count_sequence(..., "oracle")`` reads length-3 classes off the oracle's
@@ -24,14 +26,13 @@ Pattern sets whose members all have length 3 run on the kernels in
 ``_kernels``; anything else takes the generic pure-Python paths below.
 ``_count_generic`` also serves as the small-n cross-check of the counter.
 
-Caps and parallelism are configurable per call, by environment variable
-(BALLOTKIT_ORACLE_MAX_N, BALLOTKIT_PRUNED_MAX_N, BALLOTKIT_THREADS), or fall
-back to the defaults.  Threads partition only the pruned listing.
+Caps are configurable per call, by environment variable
+(BALLOTKIT_ORACLE_MAX_N, BALLOTKIT_PRUNED_MAX_N), or fall back to the
+defaults; a cap below 1 is a ``ConfigError``.
 """
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _all_perms
 
@@ -50,33 +51,26 @@ from .perms import Perm, is_ballot
 ORACLE_MAX_N_DEFAULT = 10
 PRUNED_MAX_N_DEFAULT = 16
 
-#: Partitioning the search by first value only pays off for deep trees.
-_PARTITION_MIN_N = 10
 
-
-def _env_int(name: str, fallback: int) -> int:
+def _env_cap(name: str, fallback: int) -> int:
     raw = os.environ.get(name, "").strip()
     if not raw:
         return fallback
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ConfigError(f"{name} must be at least 1, got {cap}")
+    return cap
 
 
 def oracle_max_n() -> int:
-    return _env_int("BALLOTKIT_ORACLE_MAX_N", ORACLE_MAX_N_DEFAULT)
+    return _env_cap("BALLOTKIT_ORACLE_MAX_N", ORACLE_MAX_N_DEFAULT)
 
 
 def pruned_max_n() -> int:
-    return _env_int("BALLOTKIT_PRUNED_MAX_N", PRUNED_MAX_N_DEFAULT)
-
-
-def default_threads() -> int:
-    threads = _env_int("BALLOTKIT_THREADS", os.cpu_count() or 1)
-    if threads < 1:
-        raise ConfigError(f"BALLOTKIT_THREADS must be at least 1, got {threads}")
-    return threads
+    return _env_cap("BALLOTKIT_PRUNED_MAX_N", PRUNED_MAX_N_DEFAULT)
 
 
 def _check_oracle_cap(n: int, max_n: int | None, what: str) -> None:
@@ -127,7 +121,7 @@ def _mask3(pset: PatternSet) -> int | None:
 
 
 def _rows_to_perms(rows) -> list[Perm]:
-    return [tuple(int(v) for v in row) for row in rows]
+    return list(map(tuple, rows.tolist()))
 
 
 def _census_count(n: int, mask: int, ballot: bool) -> int:
@@ -137,13 +131,11 @@ def _census_count(n: int, mask: int, ballot: bool) -> int:
     return int(avoiders[:, 1].sum() if ballot else avoiders.sum())
 
 
-def _partition_firsts(kernel, n: int, mask: int, ballot: bool, threads: int) -> list[Perm]:
-    kernel(2, mask, ballot, 0)  # compile/warm before fanning out
-    with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
-        chunks = list(pool.map(lambda v: kernel(n, mask, ballot, v), range(1, n + 1)))
+def _partition_firsts(n: int, mask: int, ballot: bool) -> list[Perm]:
+    """The pruned listing, one kernel call per first value."""
     out: list[Perm] = []
-    for chunk in chunks:
-        out.extend(_rows_to_perms(chunk))
+    for first in range(1, n + 1):
+        out.extend(_rows_to_perms(_kernels.pruned_fill(n, mask, ballot, first)))
     return out
 
 
@@ -255,10 +247,7 @@ def enumerate_pruned(
     mask = _mask3(pset)
     if mask is None:
         return _pruned_generic(n, pset, ballot)
-    threads = default_threads()
-    if threads > 1 and n >= _PARTITION_MIN_N:
-        return _partition_firsts(_kernels.pruned_fill, n, mask, ballot, threads)
-    return _rows_to_perms(_kernels.pruned_fill(n, mask, ballot, 0))
+    return _partition_firsts(n, mask, ballot)
 
 
 def count_pruned(

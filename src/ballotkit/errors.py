@@ -10,8 +10,8 @@ class InvalidInputError(BallotkitError, ValueError):
 
 
 class ConfigError(InvalidInputError):
-    """A size, cap or thread setting (flag or environment variable) is malformed
-    or out of range; the CLI reports it as a usage error."""
+    """A size or cap setting (flag or environment variable) is malformed or
+    out of range; the CLI reports it as a usage error."""
 
 
 class UnsupportedClassError(BallotkitError, ValueError):

@@ -161,21 +161,27 @@ def run_exit(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_out_of_range_sizes_and_threads_exit_2(capsys, monkeypatch):
+def test_out_of_range_sizes_and_caps_exit_2(capsys, monkeypatch):
     for argv in (
         ["enumerate", "--n", "-1"],
         ["count", "--n-max", "0"],
         ["formula", "--patterns", "321", "--n", "0"],
-        ["enumerate", "--patterns", "321", "--n", "3", "--threads", "0"],
-        ["count", "--n-max", "3", "--threads", "-2"],
+        ["enumerate", "--patterns", "321", "--n", "3", "--pruned-max-n", "0"],
+        ["verify", "--suite", "tables", "--n-max", "4", "--oracle-max-n", "0"],
     ):
         code, out, err = run_exit(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "at least" in err
-    monkeypatch.setenv("BALLOTKIT_THREADS", "abc")
-    code, out, err = run_exit(capsys, "enumerate", "--patterns", "321", "--n", "3")
+    for value, message in (("abc", "integer"), ("0", "at least 1")):
+        monkeypatch.setenv("BALLOTKIT_PRUNED_MAX_N", value)
+        code, out, err = run_exit(capsys, "enumerate", "--patterns", "321", "--n", "3")
+        assert (code, out) == (2, "")
+        assert "BALLOTKIT_PRUNED_MAX_N" in err and message in err
+    monkeypatch.delenv("BALLOTKIT_PRUNED_MAX_N")
+    monkeypatch.setenv("BALLOTKIT_ORACLE_MAX_N", "0")
+    code, out, err = run_exit(capsys, "verify", "--suite", "tables", "--n-max", "4")
     assert (code, out) == (2, "")
-    assert "BALLOTKIT_THREADS" in err
+    assert "BALLOTKIT_ORACLE_MAX_N" in err
 
 
 def test_verify_n_max_0_is_usage_error(capsys):
@@ -190,6 +196,13 @@ def test_count_past_state_bound_exits_2(capsys):
                               "--pruned-max-n", "21")
     assert (code, out) == (2, "")
     assert "{132}" in err and "states" in err
+
+
+def test_count_formula_needs_ballot(capsys):
+    code, out, err = run_exit(capsys, "count", "--patterns", "321", "--n-max", "4",
+                              "--no-ballot", "--method", "formula", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "--no-ballot" in err
 
 
 def test_count_both_needs_ballot_and_something_to_compare(capsys):

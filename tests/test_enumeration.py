@@ -93,15 +93,6 @@ def test_non_length3_patterns():
             assert count_pruned(n, pset) == len(expected)
 
 
-def test_backends_agree():
-    for text in ("132,213", "231,312,321", ""):
-        mask = _mask3(parse_pattern_set(text))
-        for n in range(1, 7):
-            fill_py = _kernels.pruned_fill_py(n, mask, True, 0)
-            fill_sel = _kernels.pruned_fill(n, mask, True, 0)
-            assert fill_py.tolist() == fill_sel.tolist()
-
-
 @pytest.fixture(scope="module")
 def census():
     return naive_census(8)
@@ -111,13 +102,25 @@ def _forbidden(mask):
     return [q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1]
 
 
-def test_oracle_rows_match_naive_all_masks():
-    for mask in range(64):
-        for ballot in (True, False):
-            for n in range(1, 8):
-                rows = _kernels.oracle_fill(n, mask, ballot, 0).tolist()
-                assert [tuple(r) for r in rows] == naive_members(n, _forbidden(mask), ballot), (
-                    mask, ballot, n)
+@pytest.fixture(scope="module")
+def members():
+    """naive_members of every length-3 class, ballot and plain, n = 1..7."""
+    return {(mask, ballot, n): naive_members(n, _forbidden(mask), ballot)
+            for mask in range(64) for ballot in (True, False) for n in range(1, 8)}
+
+
+def test_pruned_rows_match_naive_all_masks(members):
+    for (mask, ballot, n), expected in members.items():
+        rows = _kernels.pruned_fill(n, mask, ballot, 0).tolist()
+        assert [tuple(r) for r in rows] == expected, (mask, ballot, n)
+        by_first = [_kernels.pruned_fill(n, mask, ballot, v).tolist() for v in range(1, n + 1)]
+        assert [tuple(r) for chunk in by_first for r in chunk] == expected, (mask, ballot, n)
+
+
+def test_oracle_rows_match_naive_all_masks(members):
+    for (mask, ballot, n), expected in members.items():
+        rows = _kernels.oracle_fill(n, mask, ballot, 0).tolist()
+        assert [tuple(r) for r in rows] == expected, (mask, ballot, n)
 
 
 def test_oracle_blocks_by_longer_prefixes(monkeypatch):
@@ -187,12 +190,9 @@ def test_every_class_counts_to_16_under_state_bound():
         assert all(b <= p for b, p in zip(ballot, plain)), format_pattern_set(pset)
 
 
-def test_partitioned_search_matches_direct(monkeypatch):
+def test_partitioned_search_matches_direct():
     pset = parse_pattern_set("132")
-    direct = enumerate_pruned(10, pset)
-    monkeypatch.setenv("BALLOTKIT_THREADS", "3")
-    assert enumerate_pruned(10, pset) == direct
-    assert enumerate_oracle(10, pset) == direct
+    assert enumerate_pruned(10, pset) == enumerate_oracle(10, pset)
 
 
 def test_oracle_cap():
