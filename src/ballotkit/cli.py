@@ -11,10 +11,15 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 from . import bijections, formulas, verification
-from .enumeration import count_sequence, enumerate_oracle, enumerate_pruned
+from .enumeration import (
+    Caps,
+    SequenceRecord,
+    count_sequence,
+    enumerate_oracle,
+    enumerate_pruned,
+)
 from .errors import (
     BallotkitError,
     CapExceededError,
@@ -85,25 +90,22 @@ def parse_json_output(text: str) -> dict:
     return payload
 
 
-@contextmanager
-def _cap_flags(args: argparse.Namespace):
-    # flags win over the environment for the duration of the command only
-    overrides = {}
-    for attr, env in (("oracle_max_n", "BALLOTKIT_ORACLE_MAX_N"),
-                      ("pruned_max_n", "BALLOTKIT_PRUNED_MAX_N")):
-        value = getattr(args, attr, None)
+def _resolve_caps(args: argparse.Namespace) -> Caps:
+    """Both caps, each from its flag, else its BALLOTKIT_* variable, else the
+    default.  Read once per command, before any work starts."""
+    caps = {}
+    for method in ("oracle", "pruned"):
+        value = getattr(args, f"{method}_max_n")
+        env = f"BALLOTKIT_{method.upper()}_MAX_N"
+        raw = os.environ.get(env, "").strip()
+        if value is None and raw:
+            try:
+                value = _int_from(1)(raw)
+            except argparse.ArgumentTypeError as exc:
+                raise ConfigError(f"{env}: {exc}") from None
         if value is not None:
-            overrides[env] = str(value)
-    saved = {env: os.environ.get(env) for env in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for env, old in saved.items():
-            if old is None:
-                os.environ.pop(env, None)
-            else:
-                os.environ[env] = old
+            caps[method] = value
+    return Caps(**caps)
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
@@ -114,15 +116,19 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    caps = _resolve_caps(args)
     pset = _parse_pset_arg(args.patterns)
-    enumerate_fn = enumerate_oracle if args.method == "oracle" else enumerate_pruned
-    listing = enumerate_fn(args.n, pset, ballot=not args.no_ballot)
+    ballot = not args.no_ballot
+    if args.method == "oracle":
+        listing = enumerate_oracle(args.n, pset, ballot=ballot, max_n=caps.oracle)
+    else:
+        listing = enumerate_pruned(args.n, pset, ballot=ballot, max_n=caps.pruned)
     if args.format == "json":
         _emit_json({
             "command": "enumerate",
             "class": format_pattern_set(pset),
             "n": args.n,
-            "ballot": not args.no_ballot,
+            "ballot": ballot,
             "method": args.method,
             "count": len(listing),
             "perms": [format_perm(p) for p in listing],
@@ -134,6 +140,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    caps = _resolve_caps(args)
     pset = _parse_pset_arg(args.patterns)
     name = format_pattern_set(pset)
     ballot = not args.no_ballot
@@ -146,25 +153,22 @@ def _cmd_count(args: argparse.Namespace) -> int:
             sys.stderr.write(f"no formula registered for {{{name}}}\n")
             return EXIT_USAGE
     elif args.method == "both":
-        rule = formulas.formula_sequence(pset, args.n_max)
-        prefix = formulas.reference_prefix(pset)
-        if rule is None and prefix is None:
+        if formulas.get_spec(pset) is None:
             raise _UsageError(f"--method both has nothing to compare: {{{name}}} has no "
                               "registered rule and no published prefix")
-        record = count_sequence(pset, args.n_max, "pruned", ballot=ballot)
-        for other in (rule, prefix):
-            if other is None:
-                continue
-            m = min(len(record.counts), len(other.counts))
-            for i in range(m):
-                if record.counts[i] != other.counts[i]:
-                    sys.stderr.write(
-                        f"count mismatch for {{{name}}} at n={i + 1}: "
-                        f"pruned={record.counts[i]} {other.provenance}={other.counts[i]}\n"
-                    )
-                    return EXIT_MISMATCH
+        row = verification.check_class(pset, args.n_max, with_oracle=False, caps=caps)
+        pairs = ", ".join(row["disagreements"])
+        if row["status"] == "fail":
+            sys.stderr.write(f"count mismatch for {{{name}}} at n={row['first_mismatch']}: "
+                             f"{pairs}\n")
+            return EXIT_MISMATCH
+        if row["status"] == "corrected":
+            sys.stderr.write(f"note: {{{name}}} differs from the published table ({pairs}); "
+                             "the registered rule corrects it\n")
+        record = SequenceRecord(pset, tuple(row["pruned"]), "pruned")
     else:
-        record = count_sequence(pset, args.n_max, args.method, ballot=ballot)
+        max_n = caps.oracle if args.method == "oracle" else caps.pruned
+        record = count_sequence(pset, args.n_max, args.method, ballot=ballot, max_n=max_n)
     if args.format == "json":
         _emit_json({
             "command": "count",
@@ -241,7 +245,7 @@ def _cmd_biject(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verification.run_suite(args.suite, args.n_max)
+    report = verification.run_suite(args.suite, args.n_max, _resolve_caps(args))
     _emit_json(report)
     corrected = sum(1 for row in report["rows"] if row["status"] == "corrected")
     note = f" ({corrected} corrected row{'s' if corrected != 1 else ''})" if corrected else ""
@@ -308,8 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _cap_flags(args):
-            return args.fn(args)
+        return args.fn(args)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

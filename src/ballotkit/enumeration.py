@@ -26,13 +26,13 @@ Pattern sets whose members all have length 3 run on the kernels in
 ``_kernels``; anything else takes the generic pure-Python paths below.
 ``_count_generic`` also serves as the small-n cross-check of the counter.
 
-Caps are configurable per call, by environment variable
-(BALLOTKIT_ORACLE_MAX_N, BALLOTKIT_PRUNED_MAX_N), or fall back to the
-defaults; a cap below 1 is a ``ConfigError``.
+Each function takes its length cap as ``max_n``; None means the default.
+``Caps`` holds both caps for callers that pass them down, such as
+``verification``, and rejects a cap below 1 with ``ConfigError``.  Nothing
+here reads the environment; the CLI resolves the caps once per command.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import permutations as _all_perms
 
@@ -52,42 +52,30 @@ ORACLE_MAX_N_DEFAULT = 10
 PRUNED_MAX_N_DEFAULT = 16
 
 
-def _env_cap(name: str, fallback: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return fallback
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ConfigError(f"{name} must be at least 1, got {cap}")
-    return cap
+@dataclass(frozen=True)
+class Caps:
+    """The oracle's and the pruned paths' length caps, each at least 1."""
+
+    oracle: int = ORACLE_MAX_N_DEFAULT
+    pruned: int = PRUNED_MAX_N_DEFAULT
+
+    def __post_init__(self) -> None:
+        for name, cap in (("oracle", self.oracle), ("pruned", self.pruned)):
+            if cap < 1:
+                raise ConfigError(f"the {name} cap must be at least 1, got {cap}")
 
 
-def oracle_max_n() -> int:
-    return _env_cap("BALLOTKIT_ORACLE_MAX_N", ORACLE_MAX_N_DEFAULT)
-
-
-def pruned_max_n() -> int:
-    return _env_cap("BALLOTKIT_PRUNED_MAX_N", PRUNED_MAX_N_DEFAULT)
-
-
-def _check_oracle_cap(n: int, max_n: int | None, what: str) -> None:
-    cap = oracle_max_n() if max_n is None else max_n
+def _check_cap(n: int, cap: int | None, what: str) -> None:
+    """Refuse length ``n`` past ``cap``.  ``what`` starts with the method,
+    "oracle" or "pruned": its default cap applies when ``cap`` is None, and
+    the error names its flag."""
+    method = what.split()[0]
+    if cap is None:
+        cap = getattr(Caps(), method)
     if n > cap:
         raise CapExceededError(
-            f"oracle {what} at n={n} exceeds the cap of {cap} "
-            f"({n}! candidates); raise BALLOTKIT_ORACLE_MAX_N or max_n to allow it"
-        )
-
-
-def _check_pruned_cap(n: int, max_n: int | None, what: str) -> None:
-    cap = pruned_max_n() if max_n is None else max_n
-    if n > cap:
-        raise CapExceededError(
-            f"pruned {what} at n={n} exceeds the cap of {cap}; "
-            f"raise BALLOTKIT_PRUNED_MAX_N or max_n to allow it"
+            f"{what} at n={n} exceeds the cap of {cap}; "
+            f"raise --{method}-max-n or max_n to allow it"
         )
 
 
@@ -211,7 +199,7 @@ def enumerate_oracle(
 
     Refuses n above the oracle cap; pass ``max_n`` to override it.
     """
-    _check_oracle_cap(n, max_n, "enumeration")
+    _check_cap(n, max_n, "oracle enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
@@ -238,7 +226,7 @@ def enumerate_pruned(
 
     Matches ``enumerate_oracle`` element for element wherever both run.
     """
-    _check_pruned_cap(n, max_n, "enumeration")
+    _check_cap(n, max_n, "pruned enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
@@ -258,7 +246,7 @@ def count_pruned(
     max_n: int | None = None,
 ) -> int:
     """|avoiders of length n| without materializing them."""
-    _check_pruned_cap(n, max_n, "counting")
+    _check_cap(n, max_n, "pruned counting")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
@@ -283,7 +271,7 @@ def count_sequence(
         raise InvalidInputError("n_max must be at least 1")
     pset = canonical_pattern_set(patterns)
     if method == "oracle":
-        _check_oracle_cap(n_max, max_n, "counting")
+        _check_cap(n_max, max_n, "oracle counting")
         mask = _mask3(pset)
         if mask is None:
             counts = tuple(
@@ -293,7 +281,7 @@ def count_sequence(
         else:
             counts = tuple(_census_count(n, mask, ballot) for n in range(1, n_max + 1))
     elif method == "pruned":
-        _check_pruned_cap(n_max, max_n, "counting")
+        _check_cap(n_max, max_n, "pruned counting")
         mask = _mask3(pset)
         if mask is None:
             counts = tuple(_count_generic(n, pset, ballot) for n in range(1, n_max + 1))

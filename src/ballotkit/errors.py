@@ -10,8 +10,8 @@ class InvalidInputError(BallotkitError, ValueError):
 
 
 class ConfigError(InvalidInputError):
-    """A size or cap setting (flag or environment variable) is malformed or
-    out of range; the CLI reports it as a usage error."""
+    """A cap is below 1, or a ``BALLOTKIT_*`` value the CLI reads is
+    malformed; the CLI reports it as a usage error."""
 
 
 class UnsupportedClassError(BallotkitError, ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InvalidInputError
-from .perms import Perm, check_perm, parse_perm, standardize
+from .perms import Perm, check_perm, parse_perm
 
 PatternSet = tuple[Perm, ...]
 
@@ -183,11 +183,6 @@ def extends_occurrence(prefix: Perm, q: Perm) -> bool:
         return False
 
     return extend(0, [])
-
-
-def naive_contains(p: Perm, q: Perm) -> bool:
-    """All-subsequence reference check; the oracle the fast paths are tested against."""
-    return any(standardize(sub) == q for sub in combinations(p, len(q)))
 
 
 #: Canonical catalogue of the length-3 avoidance classes.

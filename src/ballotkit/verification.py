@@ -9,15 +9,11 @@ pair of available sources agrees exactly over the range both cover.
 from __future__ import annotations
 
 import time
+from functools import partial
 from math import comb
 
 from . import bijections, formulas
-from .enumeration import (
-    count_sequence,
-    enumerate_oracle,
-    enumerate_pruned,
-    oracle_max_n,
-)
+from .enumeration import Caps, count_sequence, enumerate_oracle, enumerate_pruned
 from .errors import InvalidInputError
 from .patterns import (
     ALL_CLASSES,
@@ -30,32 +26,39 @@ from .perms import descent_word
 SCHEMA_VERSION = 1
 
 
-def _pairwise_equal(row: dict) -> list[str]:
-    """Names of source pairs that disagree over their common range."""
-    bad = []
+def _disagreements(row: dict) -> dict[str, int]:
+    """Each pair of sources that disagree over their common range, with the
+    first n at which they differ."""
+    bad = {}
     sources = {
         k: row[k] for k in ("oracle", "pruned", "formula", "table") if row.get(k) is not None
     }
     names = sorted(sources)
     for i, a in enumerate(names):
         for b in names[i + 1:]:
-            va, vb = sources[a], sources[b]
-            m = min(len(va), len(vb))
-            if va[:m] != vb[:m]:
-                bad.append(f"{a}/{b}")
+            for n, (x, y) in enumerate(zip(sources[a], sources[b]), 1):
+                if x != y:
+                    bad[f"{a}/{b}"] = n
+                    break
     return bad
 
 
-def check_class(pset: PatternSet, n_max: int, *, with_oracle: bool = True) -> dict:
-    """Compare every available count source for one class up to ``n_max``."""
+def check_class(
+    pset: PatternSet, n_max: int, *, with_oracle: bool = True, caps: Caps = Caps()
+) -> dict:
+    """Compare every available count source for one class up to ``n_max``.
+
+    A failing row also records ``first_mismatch``, the least n at which two
+    of its sources differ.
+    """
     started = time.perf_counter()
     pset = canonical_pattern_set(pset)
     name = format_pattern_set(pset)
-    pruned = list(count_sequence(pset, n_max).counts)
+    pruned = list(count_sequence(pset, n_max, max_n=caps.pruned).counts)
     oracle = None
     if with_oracle:
-        top = min(n_max, oracle_max_n())
-        oracle = list(count_sequence(pset, top, "oracle").counts) if top >= 1 else []
+        top = min(n_max, caps.oracle)
+        oracle = list(count_sequence(pset, top, "oracle", max_n=caps.oracle).counts)
     spec = formulas.get_spec(pset)
     formula = None
     if spec is not None and spec.evaluator is not None:
@@ -69,7 +72,7 @@ def check_class(pset: PatternSet, n_max: int, *, with_oracle: bool = True) -> di
         "formula": formula,
         "table": table,
     }
-    disagreements = _pairwise_equal(row)
+    disagreements = _disagreements(row)
     if not disagreements:
         row["status"] = "pass"
     elif (
@@ -82,7 +85,8 @@ def check_class(pset: PatternSet, n_max: int, *, with_oracle: bool = True) -> di
         row["status"] = "corrected"
     else:
         row["status"] = "fail"
-    row["disagreements"] = disagreements
+        row["first_mismatch"] = min(disagreements.values())
+    row["disagreements"] = list(disagreements)
     row["seconds"] = round(time.perf_counter() - started, 6)
     return row
 
@@ -102,13 +106,13 @@ def _named_check(name: str, fn) -> dict:
     return row
 
 
-def suite_tables(n_max: int = 7) -> list[dict]:
-    return [check_class(pset, n_max) for pset in ALL_CLASSES]
+def suite_tables(n_max: int = 7, caps: Caps = Caps()) -> list[dict]:
+    return [check_class(pset, n_max, caps=caps) for pset in ALL_CLASSES]
 
 
-def suite_formulas(n_max: int = 12) -> list[dict]:
+def suite_formulas(n_max: int = 12, caps: Caps = Caps()) -> list[dict]:
     rows = [
-        check_class(pset, n_max, with_oracle=False)
+        check_class(pset, n_max, with_oracle=False, caps=caps)
         for pset in ALL_CLASSES
         if formulas.get_spec(pset) is not None
         and formulas.get_spec(pset).evaluator is not None
@@ -131,19 +135,21 @@ def suite_formulas(n_max: int = 12) -> list[dict]:
     return rows
 
 
-def suite_bijections(n_max: int = 8) -> list[dict]:
+def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
     rows = []
-    oracle_top = min(n_max, oracle_max_n())
+    oracle_top = min(n_max, caps.oracle)
+    oracle = partial(enumerate_oracle, max_n=caps.oracle)
+    pruned = partial(enumerate_pruned, max_n=caps.pruned)
 
     def members(pset: PatternSet, n: int, ballot: bool = True):
         if n <= oracle_top:
-            return enumerate_oracle(n, pset, ballot=ballot)
-        return enumerate_pruned(n, pset, ballot=ballot)
+            return oracle(n, pset, ballot=ballot)
+        return pruned(n, pset, ballot=ballot)
 
     def dyck_roundtrip():
         pset = canonical_pattern_set(((1, 3, 2), (2, 1, 3)))
         for n in range(1, n_max + 1):
-            listing = enumerate_pruned(n, pset)
+            listing = pruned(n, pset)
             assert len(listing) == comb(n - 1, (n - 1) // 2), f"count at n={n}"
             words = set()
             for p in listing:
@@ -203,8 +209,8 @@ def suite_bijections(n_max: int = 8) -> list[dict]:
     def excluded_element():
         pset = canonical_pattern_set(((2, 1, 3), (3, 2, 1)))
         for n in range(2, oracle_top + 1):
-            everyone = set(enumerate_oracle(n, pset, ballot=False))
-            ballots = set(enumerate_oracle(n, pset))
+            everyone = set(oracle(n, pset, ballot=False))
+            ballots = set(oracle(n, pset))
             assert everyone - ballots == {bijections.excluded_element_213_321(n)}, f"n={n}"
         return f"checked to n={oracle_top}"
 
@@ -213,11 +219,11 @@ def suite_bijections(n_max: int = 8) -> list[dict]:
     def generators():
         for n in range(1, n_max + 1):
             built = sorted(bijections.generate_312_321(n))
-            listed = sorted(enumerate_pruned(n, canonical_pattern_set(((3, 1, 2), (3, 2, 1)))))
+            listed = sorted(pruned(n, canonical_pattern_set(((3, 1, 2), (3, 2, 1)))))
             assert built == listed, f"312/321 generation at n={n}"
             built = sorted(bijections.generate_fib(n))
             listed = sorted(
-                enumerate_pruned(n, canonical_pattern_set(((2, 3, 1), (3, 1, 2), (3, 2, 1))))
+                pruned(n, canonical_pattern_set(((2, 3, 1), (3, 1, 2), (3, 2, 1))))
             )
             assert built == listed, f"fib generation at n={n}"
         return f"generators matched to n={n_max}"
@@ -247,7 +253,7 @@ _SUITES = {
 }
 
 
-def run_suite(suite: str, n_max: int) -> dict:
+def run_suite(suite: str, n_max: int, caps: Caps = Caps()) -> dict:
     """Build the full verification report for one suite (or ``all``)."""
     if n_max < 1:
         raise InvalidInputError(f"n_max must be at least 1, got {n_max}")
@@ -255,9 +261,9 @@ def run_suite(suite: str, n_max: int) -> dict:
     if suite == "all":
         rows = []
         for fn in _SUITES.values():
-            rows.extend(fn(n_max))
+            rows.extend(fn(n_max, caps))
     elif suite in _SUITES:
-        rows = _SUITES[suite](n_max)
+        rows = _SUITES[suite](n_max, caps)
     else:
         raise ValueError(f"unknown suite: {suite!r}")
     report = {

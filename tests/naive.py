@@ -41,12 +41,35 @@ def naive_members(n, pats=(), ballot=True):
     return out
 
 
+def naive_classify(n):
+    """(p, set of length-3 patterns p contains, is p ballot) for every
+    permutation p of length n, in lexicographic order."""
+    for p in permutations(range(1, n + 1)):
+        found = frozenset(naive_standardize(sub) for sub in combinations(p, 3))
+        yield p, found, naive_is_ballot(p)
+
+
 def naive_census(n_max):
     """Counter of (n, length-3 patterns contained, is ballot) over every
     permutation of length 1..n_max, so one pass gives every class's counts."""
     census = Counter()
     for n in range(1, n_max + 1):
-        for p in permutations(range(1, n + 1)):
-            found = frozenset(naive_standardize(sub) for sub in combinations(p, 3))
-            census[n, found, naive_is_ballot(p)] += 1
+        for _, found, is_ballot in naive_classify(n):
+            census[n, found, is_ballot] += 1
     return census
+
+
+def naive_listings(n_max, classes):
+    """{(key, ballot, n): naive_members(n, classes[key], ballot)} for
+    n = 1..n_max, ballot and plain, where each class forbids only length-3
+    patterns; one classification of each permutation serves every class."""
+    out = {(key, ballot, n): [] for key in classes for ballot in (True, False)
+           for n in range(1, n_max + 1)}
+    for n in range(1, n_max + 1):
+        for p, found, is_ballot in naive_classify(n):
+            for key, pats in classes.items():
+                if found.isdisjoint(pats):
+                    out[key, False, n].append(p)
+                    if is_ballot:
+                        out[key, True, n].append(p)
+    return out

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
-from ballotkit import verification
+from ballotkit import formulas, verification
 from ballotkit.cli import main, parse_json_output
+from ballotkit.enumeration import Caps
 from ballotkit.errors import InvalidInputError
 
 
@@ -182,6 +184,12 @@ def test_out_of_range_sizes_and_caps_exit_2(capsys, monkeypatch):
     code, out, err = run_exit(capsys, "verify", "--suite", "tables", "--n-max", "4")
     assert (code, out) == (2, "")
     assert "BALLOTKIT_ORACLE_MAX_N" in err
+    # both caps are resolved up front, so a malformed unused one is an error too
+    monkeypatch.setenv("BALLOTKIT_ORACLE_MAX_N", "abc")
+    code, out, err = run_exit(capsys, "enumerate", "--patterns", "321", "--n", "3",
+                              "--method", "pruned")
+    assert (code, out) == (2, "")
+    assert "BALLOTKIT_ORACLE_MAX_N" in err and "integer" in err
 
 
 def test_verify_n_max_0_is_usage_error(capsys):
@@ -220,6 +228,22 @@ def test_count_both_needs_ballot_and_something_to_compare(capsys):
     assert out.splitlines()[-1] == "9 99225"
 
 
+def test_count_both_passes_corrected_row_and_fails_a_wrong_rule(capsys, monkeypatch):
+    # the published row for {123,132,321} is a known misprint
+    code, out, err = run(capsys, "count", "--patterns", "123,132,321", "--n-max", "6",
+                         "--method", "both")
+    assert code == 0
+    assert out == "1 1\n2 1\n3 1\n4 1\n5 0\n6 0\n"
+    assert "published table" in err
+    spec = formulas.REGISTRY["321"]
+    monkeypatch.setitem(formulas.REGISTRY, "321", dataclasses.replace(
+        spec, evaluator=lambda n: spec.evaluator(n) + (n >= 5)))
+    code, out, err = run(capsys, "count", "--patterns", "321", "--n-max", "6",
+                         "--method", "both")
+    assert (code, out) == (1, "")
+    assert "{321} at n=5" in err and "formula/pruned" in err
+
+
 def test_cap_flag_allows_large_oracle(capsys):
     code, out, _ = run(capsys, "count", "--patterns", "123,132", "--n-max", "11",
                        "--method", "oracle", "--oracle-max-n", "11")
@@ -237,6 +261,13 @@ def test_verify_tables(capsys):
     assert statuses["123,132,321"] == "corrected"
     assert sum(1 for s in statuses.values() if s == "pass") == 40
     assert "all pass" in err
+
+
+def test_verify_passes_caps_down():
+    report = verification.run_suite("bijections", 4, Caps(oracle=3))
+    details = {row["check"]: row.get("detail") for row in report["rows"]}
+    assert report["pass"] is True
+    assert details["excluded-213-321"] == "checked to n=3"
 
 
 def test_verify_bijections(capsys):

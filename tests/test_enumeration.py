@@ -2,9 +2,11 @@ import tracemalloc
 
 import pytest
 
-from naive import naive_census, naive_members
+from naive import naive_census, naive_listings, naive_members
 from ballotkit import _kernels
+from ballotkit.cli import main
 from ballotkit.enumeration import (
+    Caps,
     SequenceRecord,
     _count_generic,
     _mask3,
@@ -14,7 +16,7 @@ from ballotkit.enumeration import (
     enumerate_oracle,
     enumerate_pruned,
 )
-from ballotkit.errors import CapExceededError, InvalidInputError
+from ballotkit.errors import CapExceededError, ConfigError, InvalidInputError
 from ballotkit.patterns import (
     ALL_CLASSES,
     LENGTH3_PATTERNS,
@@ -105,8 +107,7 @@ def _forbidden(mask):
 @pytest.fixture(scope="module")
 def members():
     """naive_members of every length-3 class, ballot and plain, n = 1..7."""
-    return {(mask, ballot, n): naive_members(n, _forbidden(mask), ballot)
-            for mask in range(64) for ballot in (True, False) for n in range(1, 8)}
+    return naive_listings(7, {mask: _forbidden(mask) for mask in range(64)})
 
 
 def test_pruned_rows_match_naive_all_masks(members):
@@ -202,16 +203,24 @@ def test_oracle_cap():
         enumerate_oracle(6, parse_pattern_set("321"), max_n=5)
     monkey_env_cap = enumerate_oracle(6, parse_pattern_set("321"), max_n=6)
     assert len(monkey_env_cap) == 90
+    with pytest.raises(ConfigError):
+        Caps(oracle=0)
+    with pytest.raises(ConfigError):
+        Caps(pruned=-1)
 
 
-def test_pruned_cap_and_env(monkeypatch):
+def test_pruned_cap_and_env(monkeypatch, capsys):
+    # the library reads no environment variable; the CLI passes the cap down
     with pytest.raises(CapExceededError):
         enumerate_pruned(17, parse_pattern_set("123,132"))
     monkeypatch.setenv("BALLOTKIT_PRUNED_MAX_N", "18")
-    assert len(enumerate_pruned(18, parse_pattern_set("123,132"))) == 1
+    with pytest.raises(CapExceededError):
+        enumerate_pruned(17, parse_pattern_set("123,132"))
+    assert main(["enumerate", "--patterns", "123,132", "--n", "18"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1
     monkeypatch.setenv("BALLOTKIT_PRUNED_MAX_N", "zzz")
-    with pytest.raises(InvalidInputError):
-        enumerate_pruned(3, parse_pattern_set("123,132"))
+    assert main(["enumerate", "--patterns", "123,132", "--n", "3"]) == 2
+    assert "BALLOTKIT_PRUNED_MAX_N" in capsys.readouterr().err
 
 
 def test_count_sequence_records():
