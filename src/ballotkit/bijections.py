@@ -58,9 +58,7 @@ def _family_of(name: str) -> WilfFamily | None:
     return None
 
 
-def _require_member(p: Perm, pset: PatternSet, where: str) -> None:
-    if not is_ballot(p):
-        raise InvalidInputError(f"{where}: {p} is not a ballot permutation")
+def _require_avoider(p: Perm, pset: PatternSet, where: str) -> None:
     for q in pset:
         witness = find_occurrence(p, q)
         if witness is not None:
@@ -68,6 +66,12 @@ def _require_member(p: Perm, pset: PatternSet, where: str) -> None:
             raise InvalidInputError(
                 f"{where}: {p} contains {pattern} at positions {witness}"
             )
+
+
+def _require_member(p: Perm, pset: PatternSet, where: str) -> None:
+    if not is_ballot(p):
+        raise InvalidInputError(f"{where}: {p} is not a ballot permutation")
+    _require_avoider(p, pset, where)
 
 
 def _u_runs(w: str) -> list[int]:
@@ -257,13 +261,7 @@ def insert_132_321(s: Perm) -> Perm:
     """
     if not s:
         return (1,)
-    for q in _CLASS_132_321:
-        witness = find_occurrence(s, q)
-        if witness is not None:
-            pattern = "".join(str(v) for v in q)
-            raise InvalidInputError(
-                f"insert_132_321: {s} contains {pattern} at positions {witness}"
-            )
+    _require_avoider(s, _CLASS_132_321, "insert_132_321")
     k = s[0]
     return (k, k + 1) + tuple(v + 1 if v > k else v for v in s[1:])
 
@@ -285,13 +283,7 @@ def prepend_231_321(s: Perm) -> Perm:
     >>> prepend_231_321((2, 1, 3))
     (1, 3, 2, 4)
     """
-    for q in _CLASS_231_321:
-        witness = find_occurrence(s, q)
-        if witness is not None:
-            pattern = "".join(str(v) for v in q)
-            raise InvalidInputError(
-                f"prepend_231_321: {s} contains {pattern} at positions {witness}"
-            )
+    _require_avoider(s, _CLASS_231_321, "prepend_231_321")
     return (1,) + tuple(v + 1 for v in s)
 
 

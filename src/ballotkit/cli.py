@@ -36,28 +36,19 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+#: The longest length the counting rules are evaluated at.  Every registered
+#: rule stays under Python's 4,300-digit limit for printing an int there.
+FORMULA_MAX_N = 1000
+
 
 class _UsageError(Exception):
     """Bad command-line input (as opposed to a semantic mismatch)."""
 
 
-def _parse_perm_arg(text: str):
+def _parsed(parse, text: str):
+    """``parse(text)``, reporting invalid input as a usage error."""
     try:
-        return parse_perm(text)
-    except InvalidInputError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _parse_pset_arg(text: str):
-    try:
-        return parse_pattern_set(text)
-    except InvalidInputError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _parse_word_arg(text: str) -> str:
-    try:
-        return check_step_word(text)
+        return parse(text)
     except InvalidInputError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -75,6 +66,12 @@ def _int_from(low: int):
         return value
 
     return parse
+
+
+def _check_formula_n(n: int) -> None:
+    if n > FORMULA_MAX_N:
+        raise CapExceededError(f"formula evaluation at n={n} exceeds the limit of "
+                               f"{FORMULA_MAX_N}")
 
 
 def _emit_json(payload: dict) -> None:
@@ -117,7 +114,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
-    pset = _parse_pset_arg(args.patterns)
+    pset = _parsed(parse_pattern_set, args.patterns)
     ballot = not args.no_ballot
     if args.method == "oracle":
         listing = enumerate_oracle(args.n, pset, ballot=ballot, max_n=caps.oracle)
@@ -141,13 +138,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
-    pset = _parse_pset_arg(args.patterns)
+    pset = _parsed(parse_pattern_set, args.patterns)
     name = format_pattern_set(pset)
     ballot = not args.no_ballot
     if args.method in ("formula", "both") and not ballot:
         raise _UsageError(f"--method {args.method} uses the rules and tables of ballot "
                           "avoiders; it cannot be combined with --no-ballot")
     if args.method == "formula":
+        _check_formula_n(args.n_max)
         record = formulas.formula_sequence(pset, args.n_max)
         if record is None:
             sys.stderr.write(f"no formula registered for {{{name}}}\n")
@@ -187,7 +185,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
-    pset = _parse_pset_arg(args.patterns)
+    _check_formula_n(args.n)
+    pset = _parsed(parse_pattern_set, args.patterns)
     spec = formulas.get_spec(pset)
     count = formulas.formula_count(pset, args.n)
     payload = {
@@ -211,33 +210,34 @@ def _cmd_biject(args: argparse.Namespace) -> int:
         if args.inverse:
             if args.word is None:
                 raise UnsupportedClassError("--map dyck --inverse needs --word")
-            sys.stdout.write(format_perm(bijections.from_dyck_prefix(_parse_word_arg(args.word))) + "\n")
+            w = _parsed(check_step_word, args.word)
+            sys.stdout.write(format_perm(bijections.from_dyck_prefix(w)) + "\n")
         else:
             if args.perm is None:
                 raise UnsupportedClassError("--map dyck needs --perm")
-            sys.stdout.write(bijections.to_dyck_prefix(_parse_perm_arg(args.perm)) + "\n")
+            sys.stdout.write(bijections.to_dyck_prefix(_parsed(parse_perm, args.perm)) + "\n")
         return EXIT_OK
     if args.map == "transport":
         if args.perm is None or args.source is None or args.target is None:
             raise UnsupportedClassError("--map transport needs --perm, --from, and --to")
         image = bijections.wilf_transport(
-            _parse_perm_arg(args.perm),
-            _parse_pset_arg(args.source),
-            _parse_pset_arg(args.target),
+            _parsed(parse_perm, args.perm),
+            _parsed(parse_pattern_set, args.source),
+            _parsed(parse_pattern_set, args.target),
         )
         sys.stdout.write(format_perm(image) + "\n")
         return EXIT_OK
     if args.map == "insert-132-321":
         if args.perm is None:
             raise UnsupportedClassError(f"--map {args.map} needs --perm")
-        p = _parse_perm_arg(args.perm)
+        p = _parsed(parse_perm, args.perm)
         image = bijections.remove_132_321(p) if args.inverse else bijections.insert_132_321(p)
         sys.stdout.write(format_perm(image) + "\n")
         return EXIT_OK
     if args.map == "prepend-231-321":
         if args.perm is None:
             raise UnsupportedClassError(f"--map {args.map} needs --perm")
-        p = _parse_perm_arg(args.perm)
+        p = _parsed(parse_perm, args.perm)
         image = bijections.behead_231_321(p) if args.inverse else bijections.prepend_231_321(p)
         sys.stdout.write(format_perm(image) + "\n")
         return EXIT_OK
@@ -313,17 +313,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, BallotkitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (ConfigError, UnsupportedClassError, CapExceededError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except InvalidInputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_MISMATCH
-    except BallotkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
+        if isinstance(exc, InvalidInputError) and not isinstance(exc, ConfigError):
+            return EXIT_MISMATCH
         return EXIT_USAGE
 
 

@@ -23,8 +23,11 @@ census (``_kernels.oracle_census``): one memoized classification per length
 counts every class, ballot and plain, without listing any of them.
 
 Pattern sets whose members all have length 3 run on the kernels in
-``_kernels``; anything else takes the generic pure-Python paths below.
-``_count_generic`` also serves as the small-n cross-check of the counter.
+``_kernels``; anything else takes one pure-Python search,
+``_generic_members``, which walks West's generating tree once and yields
+the members of every length up to n: ``enumerate_pruned`` sorts those of
+length n, and ``count_sequence`` tallies every length from the same pass.
+Run on length-3 classes, it also cross-checks the kernels at small n.
 
 Each function takes its length cap as ``max_n``; None means the default.
 ``Caps`` holds both caps for callers that pass them down, such as
@@ -33,6 +36,7 @@ here reads the environment; the CLI resolves the caps once per command.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations as _all_perms
 
@@ -43,7 +47,6 @@ from .patterns import (
     PatternSet,
     avoids_all,
     canonical_pattern_set,
-    extends_occurrence,
     format_pattern_set,
 )
 from .perms import Perm, is_ballot
@@ -127,65 +130,30 @@ def _partition_firsts(n: int, mask: int, ballot: bool) -> list[Perm]:
     return out
 
 
-def _pruned_generic(n: int, pset: PatternSet, ballot: bool) -> list[Perm]:
-    """Value-choice DFS for pattern sets the kernels do not cover."""
-    out: list[Perm] = []
-    prefix: list[int] = []
-    used = [False] * (n + 1)
+def _generic_members(n_max: int, pset: PatternSet, ballot: bool) -> Iterator[Perm]:
+    """Every member of lengths 1..n_max, each once, for pattern sets the
+    kernels do not cover.
 
-    def walk(asc: int, desc: int) -> None:
-        depth = len(prefix)
-        if depth == n:
-            out.append(tuple(prefix))
-            return
-        for v in range(1, n + 1):
-            if used[v]:
-                continue
-            a, d = asc, desc
-            if depth > 0:
-                if prefix[-1] < v:
-                    a += 1
-                else:
-                    d += 1
-                if ballot and d > a:
-                    continue
-            prefix.append(v)
-            if any(extends_occurrence(tuple(prefix), q) for q in pset):
-                prefix.pop()
-                continue
-            used[v] = True
-            walk(a, d)
-            used[v] = False
-            prefix.pop()
-
-    walk(0, 0)
-    return out
-
-
-def _count_generic(n: int, pset: PatternSet, ballot: bool) -> int:
-    """Rank-insertion DFS count for pattern sets the kernels do not cover."""
-
-    def walk(pre: Perm, asc: int, desc: int) -> int:
-        depth = len(pre)
-        if depth == n:
-            return 1
-        total = 0
-        for r in range(1, depth + 2):
-            a, d = asc, desc
-            if depth > 0:
-                if pre[-1] < r:
-                    a += 1
-                else:
-                    d += 1
-                if ballot and d > a:
+    A depth-first walk of West's generating tree: a member's children append
+    a last entry of rank r = 1..len+1, lifting the entries at or above r.  A
+    member's standardized prefixes are members, so pruning a non-member loses
+    none.  The parent avoids ``pset``, so ``avoids_all`` on a child decides
+    whether the new entry completes an occurrence.
+    """
+    stack: list[tuple[Perm, int]] = [((), 0)]
+    while stack:
+        pre, height = stack.pop()
+        for r in range(1, len(pre) + 2):
+            h = height
+            if pre:
+                h += 1 if pre[-1] < r else -1
+                if ballot and h < 0:
                     continue
             nxt = tuple(x + 1 if x >= r else x for x in pre) + (r,)
-            if any(extends_occurrence(nxt, q) for q in pset):
-                continue
-            total += walk(nxt, a, d)
-        return total
-
-    return walk((), 0, 0)
+            if avoids_all(nxt, pset):
+                yield nxt
+                if len(nxt) < n_max:
+                    stack.append((nxt, h))
 
 
 def enumerate_oracle(
@@ -234,7 +202,7 @@ def enumerate_pruned(
     pset = canonical_pattern_set(patterns)
     mask = _mask3(pset)
     if mask is None:
-        return _pruned_generic(n, pset, ballot)
+        return sorted(p for p in _generic_members(n, pset, ballot) if len(p) == n)
     return _partition_firsts(n, mask, ballot)
 
 
@@ -246,16 +214,11 @@ def count_pruned(
     max_n: int | None = None,
 ) -> int:
     """|avoiders of length n| without materializing them."""
-    _check_cap(n, max_n, "pruned counting")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
         return 1
-    pset = canonical_pattern_set(patterns)
-    mask = _mask3(pset)
-    if mask is None:
-        return _count_generic(n, pset, ballot)
-    return _kernels.pruned_count(n, mask, ballot)[-1]
+    return count_sequence(patterns, n, ballot=ballot, max_n=max_n).counts[-1]
 
 
 def count_sequence(
@@ -284,7 +247,10 @@ def count_sequence(
         _check_cap(n_max, max_n, "pruned counting")
         mask = _mask3(pset)
         if mask is None:
-            counts = tuple(_count_generic(n, pset, ballot) for n in range(1, n_max + 1))
+            tally = [0] * n_max
+            for p in _generic_members(n_max, pset, ballot):
+                tally[len(p) - 1] += 1
+            counts = tuple(tally)
         else:
             counts = tuple(_kernels.pruned_count(n_max, mask, ballot))
     else:

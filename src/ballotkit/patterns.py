@@ -21,8 +21,6 @@ LENGTH3_PATTERNS: tuple[Perm, ...] = (
     (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
 )
 
-_LENGTH3_INDEX = {q: i for i, q in enumerate(LENGTH3_PATTERNS)}
-
 
 def check_pattern(values) -> Perm:
     """Validate a pattern: a permutation of length 1..9."""
@@ -73,57 +71,6 @@ def _match_from(p: Perm, q: Perm, start: int, chosen: list[int]) -> bool:
     return False
 
 
-def _contains_generic(p: Perm, q: Perm) -> bool:
-    return _match_from(p, q, 0, [])
-
-
-def _contains3(p: Perm, q: Perm) -> bool:
-    """Length-3 containment in O(n^2) via running prefix/suffix extrema.
-
-    Must agree with the generic backtracking path (tested exhaustively).
-    """
-    n = len(p)
-    if n < 3:
-        return False
-    lo = min(p[0], p[1])
-    hi = max(p[0], p[1])
-    suffix_min = [0] * (n + 1)
-    suffix_max = [0] * (n + 1)
-    suffix_min[n] = n + 1
-    suffix_max[n] = 0
-    for i in range(n - 1, -1, -1):
-        suffix_min[i] = min(p[i], suffix_min[i + 1])
-        suffix_max[i] = max(p[i], suffix_max[i + 1])
-    idx = _LENGTH3_INDEX[q]
-    if idx in (0, 3, 5, 2):
-        # scan (i, j) as the first two entries; complete with a suffix extremum
-        for i in range(n - 2):
-            for j in range(i + 1, n - 1):
-                a, b = p[i], p[j]
-                if idx == 0 and a < b and suffix_max[j + 1] > b:
-                    return True
-                if idx == 3 and a < b and suffix_min[j + 1] < a:
-                    return True
-                if idx == 5 and a > b and suffix_min[j + 1] < b:
-                    return True
-                if idx == 2 and a > b and suffix_max[j + 1] > a:
-                    return True
-        return False
-    # idx 1 (132) or 4 (312): scan (j, k) as the last two; complete with a prefix extremum
-    prefix_min = p[0]
-    prefix_max = p[0]
-    for j in range(1, n - 1):
-        for k in range(j + 1, n):
-            b, c = p[j], p[k]
-            if idx == 1 and b > c and prefix_min < c:
-                return True
-            if idx == 4 and b < c and prefix_max > c:
-                return True
-        prefix_min = min(prefix_min, p[j])
-        prefix_max = max(prefix_max, p[j])
-    return False
-
-
 def contains(p: Perm, q: Perm) -> bool:
     """True when some subsequence of ``p`` standardizes to ``q``.
 
@@ -132,11 +79,7 @@ def contains(p: Perm, q: Perm) -> bool:
     >>> contains((4, 5, 6, 3, 1, 2), (2, 1, 3))
     False
     """
-    if len(q) > len(p):
-        return False
-    if len(q) == 3:
-        return _contains3(p, q)
-    return _contains_generic(p, q)
+    return find_occurrence(p, q) is not None
 
 
 def find_occurrence(p: Perm, q: Perm) -> tuple[int, ...] | None:
@@ -154,35 +97,6 @@ def find_occurrence(p: Perm, q: Perm) -> tuple[int, ...] | None:
 def avoids_all(p: Perm, pset: PatternSet) -> bool:
     """True when ``p`` contains no member of ``pset`` (vacuously for empty sets)."""
     return not any(contains(p, q) for q in pset)
-
-
-def extends_occurrence(prefix: Perm, q: Perm) -> bool:
-    """True when some occurrence of ``q`` in ``prefix`` ends at the last position.
-
-    This is the incremental containment check used while growing a permutation
-    position by position: a new element can only create occurrences that end
-    at it.
-    """
-    k = len(q)
-    if k > len(prefix) or k == 0:
-        return False
-    last = len(prefix) - 1
-    v = prefix[last]
-
-    def extend(start: int, chosen: list[int]) -> bool:
-        t = len(chosen)
-        if t == k - 1:
-            return all((q[s] < q[k - 1]) == (prefix[chosen[s]] < v) for s in range(t))
-        for c in range(start, last - (k - 1 - t) + 1):
-            w = prefix[c]
-            if all((q[s] < q[t]) == (prefix[chosen[s]] < w) for s in range(t)):
-                chosen.append(c)
-                if extend(c + 1, chosen):
-                    return True
-                chosen.pop()
-        return False
-
-    return extend(0, [])
 
 
 #: Canonical catalogue of the length-3 avoidance classes.

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ballotkit import formulas, verification
-from ballotkit.cli import main, parse_json_output
+from ballotkit.cli import FORMULA_MAX_N, main, parse_json_output
 from ballotkit.enumeration import Caps
 from ballotkit.errors import InvalidInputError
 
@@ -211,6 +211,18 @@ def test_count_formula_needs_ballot(capsys):
                               "--no-ballot", "--method", "formula", "--format", "json")
     assert (code, out) == (2, "")
     assert "--no-ballot" in err
+
+
+def test_formula_lengths_are_bounded(capsys):
+    # past the bound the values no longer print as decimals
+    assert FORMULA_MAX_N == 1000
+    for argv in (["formula", "--patterns", "", "--n"],
+                 ["count", "--patterns", "", "--method", "formula", "--n-max"]):
+        code, out, err = run_exit(capsys, *argv, "1001")
+        assert (code, out) == (2, ""), argv
+        assert "n=1001" in err and "Traceback" not in err
+        code, out, err = run_exit(capsys, *argv, "1000")
+        assert code == 0 and out and err == "", argv
 
 
 def test_count_both_needs_ballot_and_something_to_compare(capsys):

@@ -8,9 +8,8 @@ from ballotkit.cli import main
 from ballotkit.enumeration import (
     Caps,
     SequenceRecord,
-    _count_generic,
     _mask3,
-    _pruned_generic,
+    _generic_members,
     count_pruned,
     count_sequence,
     enumerate_oracle,
@@ -79,20 +78,27 @@ def test_generic_paths_match_kernels():
     # length-3 classes through it as well and compare
     for text in ("132,213", "321"):
         pset = parse_pattern_set(text)
-        for n in range(0, 7):
-            assert _pruned_generic(n, pset, True) == enumerate_pruned(n, pset)
-            assert _count_generic(n, pset, True) == count_pruned(n, pset)
+        members = list(_generic_members(6, pset, True))
+        assert len(members) == len(set(members))
+        for n in range(1, 7):
+            of_length_n = sorted(p for p in members if len(p) == n)
+            assert of_length_n == enumerate_pruned(n, pset)
+            assert len(of_length_n) == count_pruned(n, pset)
 
 
 def test_non_length3_patterns():
-    for text, n_top in (("12", 6), ("21", 6), ("1", 4), ("1234", 7), ("3142,2413", 7)):
+    for text, n_top in (("12", 6), ("21", 6), ("1", 4), ("1234", 7), ("3142,2413", 7),
+                        ("123,1234", 7)):
         pset = parse_pattern_set(text)
         assert _mask3(pset) is None
+        naive_counts = []
         for n in range(0, n_top):
             expected = naive_members(n, pset) if n else [()]
             assert enumerate_pruned(n, pset) == expected
             assert enumerate_oracle(n, pset) == expected
             assert count_pruned(n, pset) == len(expected)
+            naive_counts.append(len(expected))
+        assert count_sequence(pset, n_top - 1).counts == tuple(naive_counts[1:])
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +197,7 @@ def test_every_class_counts_to_16_under_state_bound():
         assert all(b <= p for b, p in zip(ballot, plain)), format_pattern_set(pset)
 
 
-def test_partitioned_search_matches_direct():
+def test_pruned_listing_matches_oracle_at_n10():
     pset = parse_pattern_set("132")
     assert enumerate_pruned(10, pset) == enumerate_oracle(10, pset)
 
@@ -201,8 +207,8 @@ def test_oracle_cap():
         enumerate_oracle(11, parse_pattern_set("321"))
     with pytest.raises(CapExceededError):
         enumerate_oracle(6, parse_pattern_set("321"), max_n=5)
-    monkey_env_cap = enumerate_oracle(6, parse_pattern_set("321"), max_n=6)
-    assert len(monkey_env_cap) == 90
+    raised_cap = enumerate_oracle(6, parse_pattern_set("321"), max_n=6)
+    assert len(raised_cap) == 90
     with pytest.raises(ConfigError):
         Caps(oracle=0)
     with pytest.raises(ConfigError):

@@ -18,7 +18,6 @@ from ballotkit.patterns import (
     find_occurrence,
     format_pattern_set,
     parse_pattern_set,
-    _contains_generic,
 )
 from ballotkit.perms import identity, parse_perm, standardize
 
@@ -46,13 +45,6 @@ def test_contains_matches_naive_exhaustively():
         for p in permutations(range(1, n + 1)):
             for q in LENGTH3_PATTERNS:
                 assert contains(p, q) == naive_contains(p, q), (p, q)
-
-
-def test_fast_path_matches_generic_path():
-    for n in range(0, 8):
-        for p in permutations(range(1, n + 1)):
-            for q in LENGTH3_PATTERNS:
-                assert contains(p, q) == _contains_generic(p, q), (p, q)
 
 
 @given(
