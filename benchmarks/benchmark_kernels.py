@@ -5,7 +5,7 @@ Usage:
     python benchmarks/benchmark_kernels.py [--repeat N]
 
 Each kernel runs on a workload large enough to dominate call overhead:
-transfer-state counting of three classes, pruned listing of the classes the
+transfer-state counting of four classes, pruned listing of the classes the
 ``enumerate`` workload of the benchmark lists, the vectorized oracle scanning
 every permutation of length 9 and 10, and the oracle census of length 8.
 Every time is the median of ``--repeat`` runs, printed with its sample
@@ -26,6 +26,7 @@ CASES = [
     ("pruned_count {321} n=40", "count", "321", 40, True),
     ("pruned_count {231,312,321} n=40", "count", "231,312,321", 40, True),
     ("pruned_count {132} n=20", "count", "132", 20, True),
+    ("pruned_count {123,132} n=100", "count", "123,132", 100, True),
     ("pruned_fill {} n=9", "fill", "", 9, True),
     ("pruned_fill {132} n=11", "fill", "132", 11, True),
     ("pruned_fill {231} plain n=10", "fill", "231", 10, False),

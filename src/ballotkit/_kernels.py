@@ -136,7 +136,8 @@ def pruned_count(n, mask, ballot_req):
                         f"states at n={k + 1}; lower n"
                     )
         counts.append(sum(sum(sub.values()) for sub in nxt.values()))
-        table = nxt
+        # drop keys whose every state was blocked: the next length would loop over their moves
+        table = {key: sub for key, sub in nxt.items() if sub}
     return counts
 
 

@@ -2,8 +2,9 @@
 
 Nine catalogued classes have the property that the descent word determines
 the member uniquely, so every class-to-class map here goes through the word
-as a pivot: read the word off the source, rebuild in the target.  The word
-shapes the three families admit differ:
+as a pivot: read the word off the source, rebuild in the target.  Each of
+the three families of such classes states once which ballot words its
+members have:
 
 - the four pair classes around {132,213} admit every ballot word;
 - the {132,213,312} family admits words whose descents form a suffix
@@ -11,12 +12,17 @@ shapes the three families admit differ:
 - the {132,213,321} family admits words with at most one descent
   (U^a D U^b or all U).
 
+Only the four pair classes have builders of their own.  Each triple class
+lies inside one of them, so its member with a given word is the pair's
+member with that word.
+
 The remaining maps are the insertion bijections onto plain avoider sets, the
 excluded-element construction, the two recursive generators, and the
 explicit members of the always-small classes.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 
@@ -38,16 +44,18 @@ from .perms import (
 
 @dataclass(frozen=True)
 class WilfFamily:
-    """Classes whose members correspond word-for-word to each other."""
+    """Classes whose members correspond word-for-word; ``admits`` says which ballot words."""
 
     members: tuple[str, ...]
     canonical_member: str
+    admits: Callable[[str], bool]
 
 
 DESCENT_WORD_FAMILIES: tuple[WilfFamily, ...] = (
-    WilfFamily(("132,213", "132,312", "213,231", "231,312"), "132,213"),
-    WilfFamily(("132,213,312", "213,231,312"), "132,213,312"),
-    WilfFamily(("132,213,321", "132,312,321", "213,231,321"), "132,213,321"),
+    WilfFamily(("132,213", "132,312", "213,231", "231,312"), "132,213", lambda w: True),
+    WilfFamily(("132,213,312", "213,231,312"), "132,213,312", lambda w: "DU" not in w),
+    WilfFamily(("132,213,321", "132,312,321", "213,231,321"), "132,213,321",
+               lambda w: w.count("D") <= 1),
 )
 
 
@@ -125,67 +133,18 @@ def _from_word_132_312(w: str) -> Perm:
     return tuple(out)
 
 
-def _split_single_descent(w: str) -> tuple[int, int]:
-    a = w.index("D")
-    return a, len(w) - a - 1
-
-
-def _from_word_132_213_312(w: str) -> Perm:
-    a = w.count("U")
-    return skew_sum(identity(a + 1), reverse(identity(len(w) - a)))
-
-
-def _from_word_213_231_312(w: str) -> Perm:
-    a = w.count("U")
-    b = len(w) - a
-    if b == 0:
-        return identity(a + 1)
-    return direct_sum(identity(a), reverse(identity(b + 1)))
-
-
-def _from_word_132_213_321(w: str) -> Perm:
-    if "D" not in w:
-        return identity(len(w) + 1)
-    a, b = _split_single_descent(w)
-    return skew_sum(identity(a + 1), direct_sum((1,), identity(b)))
-
-
-def _from_word_132_312_321(w: str) -> Perm:
-    if "D" not in w:
-        return identity(len(w) + 1)
-    a, b = _split_single_descent(w)
-    return direct_sum(skew_sum(identity(a + 1), (1,)), identity(b))
-
-
-def _from_word_213_231_321(w: str) -> Perm:
-    if "D" not in w:
-        return identity(len(w) + 1)
-    a, b = _split_single_descent(w)
-    return direct_sum(identity(a), skew_sum((1,), identity(b + 1)))
-
-
-def _admits_any_ballot(w: str) -> bool:
-    return True
-
-
-def _admits_descent_suffix(w: str) -> bool:
-    return w == "U" * w.count("U") + "D" * w.count("D")
-
-
-def _admits_single_descent(w: str) -> bool:
-    return w.count("D") <= 1
-
-
+# A pair class has one member per ballot word, so a member of a triple class
+# inside it is the pair's member with the same word.
 _BUILDERS = {
-    "132,213": (_admits_any_ballot, _from_word_132_213),
-    "213,231": (_admits_any_ballot, _from_word_213_231),
-    "231,312": (_admits_any_ballot, _from_word_231_312),
-    "132,312": (_admits_any_ballot, _from_word_132_312),
-    "132,213,312": (_admits_descent_suffix, _from_word_132_213_312),
-    "213,231,312": (_admits_descent_suffix, _from_word_213_231_312),
-    "132,213,321": (_admits_single_descent, _from_word_132_213_321),
-    "132,312,321": (_admits_single_descent, _from_word_132_312_321),
-    "213,231,321": (_admits_single_descent, _from_word_213_231_321),
+    "132,213": _from_word_132_213,
+    "213,231": _from_word_213_231,
+    "231,312": _from_word_231_312,
+    "132,312": _from_word_132_312,
+    "132,213,312": _from_word_132_213,  # inside {132,213}
+    "132,213,321": _from_word_132_213,  # inside {132,213}
+    "213,231,312": _from_word_213_231,  # inside {213,231}
+    "213,231,321": _from_word_213_231,  # inside {213,231}
+    "132,312,321": _from_word_132_312,  # inside {132,312}
 }
 
 
@@ -194,6 +153,8 @@ def perm_from_word(patterns: PatternSet, w: str) -> Perm:
 
     >>> perm_from_word(((1, 3, 2), (2, 1, 3)), "UUDUUD")
     (5, 6, 7, 2, 3, 4, 1)
+    >>> perm_from_word(((1, 3, 2), (2, 1, 3), (3, 2, 1)), "UUDU")
+    (3, 4, 5, 1, 2)
     """
     name = format_pattern_set(canonical_pattern_set(patterns))
     if name not in _BUILDERS:
@@ -201,12 +162,11 @@ def perm_from_word(patterns: PatternSet, w: str) -> Perm:
             f"{{{name}}} is not one of the descent-word-determined classes"
         )
     check_step_word(w)
-    admits, build = _BUILDERS[name]
     if not is_ballot_word(w):
         raise UnrealizableWordError(f"{w!r} is not a ballot word")
-    if not admits(w):
+    if not _family_of(name).admits(w):
         raise UnrealizableWordError(f"no member of {{{name}}} has descent word {w!r}")
-    return build(w)
+    return _BUILDERS[name](w)
 
 
 def wilf_transport(p: Perm, source: PatternSet, target: PatternSet) -> Perm:

@@ -20,6 +20,7 @@ from .patterns import (
     PatternSet,
     canonical_pattern_set,
     format_pattern_set,
+    parse_pattern_set,
 )
 from .perms import descent_word
 
@@ -163,12 +164,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
 
     for family in bijections.DESCENT_WORD_FAMILIES:
         def transport_family(family=family):
-            classes = {
-                name: canonical_pattern_set(
-                    tuple(tuple(int(c) for c in part) for part in name.split(","))
-                )
-                for name in family.members
-            }
+            classes = {name: parse_pattern_set(name) for name in family.members}
             for n in range(1, n_max + 1):
                 listings = {name: members(pset, n) for name, pset in classes.items()}
                 sizes = {len(v) for v in listings.values()}
@@ -233,9 +229,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
     def unique_member_classes():
         for name in ("123,132", "123,213", "132,231", "123,132,213",
                      "132,213,231", "132,231,312", "132,231,321"):
-            pset = canonical_pattern_set(
-                tuple(tuple(int(c) for c in part) for part in name.split(","))
-            )
+            pset = parse_pattern_set(name)
             for n in range(1, n_max + 1):
                 assert bijections.unique_members(pset, n) == members(pset, n), (
                     f"{name} at n={n}"
