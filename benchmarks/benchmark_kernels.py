@@ -6,8 +6,10 @@ Usage:
 
 Each kernel runs on a workload large enough to dominate call overhead:
 transfer-state counting of four classes, pruned listing of the classes the
-``enumerate`` workload of the benchmark lists, the vectorized oracle scanning
-every permutation of length 9 and 10, and the oracle census of length 8.
+``enumerate`` workload of the benchmark lists and of the single ballot
+{123,132} avoider of length 100 (whose blocked sites outgrow 64 bits), the
+vectorized oracle scanning every permutation of length 9 and 10, and the
+oracle census of length 8.
 Every time is the median of ``--repeat`` runs, printed with its sample
 count.  All kernels run on the interpreter and numpy.
 """
@@ -31,6 +33,7 @@ CASES = [
     ("pruned_fill {132} n=11", "fill", "132", 11, True),
     ("pruned_fill {231} plain n=10", "fill", "231", 10, False),
     ("pruned_fill {321} n=11", "fill", "321", 11, True),
+    ("pruned_fill {123,132} n=100", "fill", "123,132", 100, True),
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9, True),
     ("oracle_fill {132,213} n=10", "oracle", "132,213", 10, True),
     ("oracle_census n=8", "census", "", 8, True),

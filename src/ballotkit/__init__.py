@@ -6,8 +6,9 @@ The package is organized as:
 - :mod:`ballotkit.patterns` — containment testing and class names;
 - :mod:`ballotkit.enumeration` — the brute-force oracle (vectorized with
   numpy, with a per-length census that counts every class at once), the
-  pruned backtracking enumerator, and the transfer-state counter, which
-  share one rule for the values each entry blocks;
+  pruned enumerator, which lists a class level by level, and the
+  transfer-state counter, which share one rule for the values each entry
+  blocks;
 - :mod:`ballotkit.formulas` — registered counting rules and reference
   sequence prefixes;
 - :mod:`ballotkit.bijections` — descent-word reconstructions, insertion
@@ -37,6 +38,7 @@ from .enumeration import (
     count_sequence,
     enumerate_oracle,
     enumerate_pruned,
+    enumerate_rows,
 )
 from .errors import (
     BallotkitError,
@@ -75,6 +77,7 @@ from .perms import (
     descent_word,
     direct_sum,
     format_perm,
+    format_rows,
     identity,
     is_ballot,
     is_ballot_word,

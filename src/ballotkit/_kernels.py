@@ -16,12 +16,16 @@ numpy.
   at a time, so one pass yields the counts of every length up to n.  Counts
   outgrow int64, so it works on Python ints.  At most ``MAX_STATES`` states
   are kept per length; past that it raises ``CapExceededError``.
-- ``pruned_fill``: depth-first search over value choices, emitting complete
-  permutations in lexicographic order.  It carries the counter's state for
-  one prefix and skips a value as soon as it would complete a forbidden
-  triple or, with the ballot flag, give more descents than ascents; both
-  conditions are monotone, so no valid permutation is lost.  Which sites
-  the entries block is stated once, in ``_blocked_by``, for both kernels.
+- ``pruned_fill``: the counter's generating tree walked one length at a
+  time with whole-array numpy steps, keeping every member of each length:
+  its standardized row, blocked sites, last rank and height.  A child is
+  made only at an open site, one whose entry completes no forbidden triple
+  and, with the ballot flag, takes the height no lower than zero; prefixes
+  of members are members, so the walk visits members only and no prefix
+  without a completion.  One lexsort at the end gives lexicographic order.
+  At most ``MAX_ROWS`` rows are held per length; past that it raises
+  ``CapExceededError``.  Which sites the entries block is stated once, in
+  ``_blocked_by``, for both kernels.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -49,6 +53,14 @@ from .patterns import LENGTH3_PATTERNS, format_pattern_set
 
 #: Most states ``pruned_count`` keeps for one length (under 20 MB of tables).
 MAX_STATES = 100_000
+#: Most rows ``pruned_fill`` holds at one length.
+MAX_ROWS = 4_000_000
+
+
+def _class_label(mask, ballot_req):
+    """The class of a kernel call as cap errors name it, e.g. "ballot {132}"."""
+    name = format_pattern_set(tuple(q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1))
+    return f"{'ballot' if ballot_req else 'plain'} {{{name}}}"
 
 
 def _sites(lo, hi):
@@ -128,12 +140,9 @@ def pruned_count(n, mask, ballot_req):
                     else:
                         sub[b] = old + c
                 if size > MAX_STATES:
-                    name = format_pattern_set(
-                        tuple(q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1))
-                    kind = "ballot" if ballot_req else "plain"
                     raise CapExceededError(
-                        f"counting {kind} {{{name}}} to n={n} needs more than {MAX_STATES:,} "
-                        f"states at n={k + 1}; lower n"
+                        f"counting {_class_label(mask, ballot_req)} to n={n} needs more than "
+                        f"{MAX_STATES:,} states at n={k + 1}; lower n"
                     )
         counts.append(sum(sum(sub.values()) for sub in nxt.values()))
         # drop keys whose every state was blocked: the next length would loop over their moves
@@ -144,43 +153,51 @@ def pruned_count(n, mask, ballot_req):
 def pruned_fill(n, mask, ballot_req, first):
     """Members of the class at length n as an (m, n) array, lex order.
 
-    ``first`` > 0 restricts position 0 to that value.  A depth-first search
-    over values carries the counter's state: the bitmask of blocked sites,
-    the last value and the height.  The site of an unused value is the
-    number of used values below it.  A value in a blocked site would
-    complete a forbidden triple, and with the ballot flag a descent may not
-    take the height below zero; either way the value is skipped.  Placing a
-    value splits its site and adds ``_blocked_by``, as in ``pruned_count``.
+    ``first`` > 0 keeps the rows whose position 0 holds that value.  The
+    walk steps the counter's generating tree one length at a time over
+    whole arrays: the frontier is every member of length k, each with its
+    blocked sites, last rank and height.  A child places a new last entry
+    at an open site s, so the entries above s move up by one and s + 1 is
+    appended; its blocked sites follow the counter's own step.  Prefixes of
+    members are members, so every row visited is a member of its length.
+    No level may hold more than ``MAX_ROWS`` rows; past that it raises
+    ``CapExceededError``.
     """
-    adds = [_blocked_by(mask, k) for k in range(n)]
-    used = [False] * (n + 1)
-    perm = [0] * n
-    rows = []
-
-    def extend(k, blocked, last, height):
-        if k == n:
-            rows.append(tuple(perm))
-            return
-        add = adds[k]
-        s = 0
-        for v in range(1, n + 1):
-            if used[v]:
-                s += 1
-            elif not blocked >> s & 1:
-                h = height + 1 if v > last else height - 1
-                if h >= 0 or not ballot_req:
-                    used[v] = True
-                    perm[k] = v
-                    extend(k + 1, (blocked & ((2 << s) - 1)) | (blocked >> s << (s + 1)) | add[s],
-                           v, h)
-                    used[v] = False
-
-    for v in [first] if first > 0 else range(1, n + 1):
-        used[v] = True
-        perm[0] = v
-        extend(1, 0, v, 0)
-        used[v] = False
-    return np.array(rows, dtype=np.min_scalar_type(n)).reshape(len(rows), n)
+    dtype = np.min_scalar_type(n)
+    if n < 1:
+        return np.empty((0, n), dtype=dtype)
+    bits = np.uint64 if n < 64 else object  # a level of length k has k + 1 sites
+    rows = np.ones((1, 1), dtype=dtype)
+    blocked = np.zeros(1, dtype=bits)
+    last = np.ones(1, dtype=np.intp)
+    height = np.zeros(1, dtype=np.intp)
+    for k in range(1, n):
+        sites = np.arange(k + 1)
+        open_ = (blocked[:, None] >> sites.astype(bits) & 1) == 0
+        if ballot_req:
+            open_ &= (last[:, None] <= sites) | (height[:, None] > 0)
+        size = np.count_nonzero(open_)
+        if size > MAX_ROWS:
+            raise CapExceededError(
+                f"listing {_class_label(mask, ballot_req)} at n={n} needs {size:,} rows at "
+                f"length {k + 1}, more than {MAX_ROWS:,}; lower n")
+        parent, s = np.nonzero(open_)
+        prev = rows[parent]
+        rows = np.empty((size, k + 1), dtype=dtype)
+        np.add(prev, prev > s.astype(dtype)[:, None], out=rows[:, :k])
+        rows[:, k] = s + 1
+        if k + 1 == n:  # the last length needs no state to grow from
+            break
+        b, sb = blocked[parent], s.astype(bits)
+        low = np.array([(2 << j) - 1 for j in range(k + 1)], dtype=bits)
+        add = np.array(_blocked_by(mask, k), dtype=bits)
+        blocked = (b & low[s]) | (b >> sb << (sb + 1)) | add[s]
+        if ballot_req:
+            height = height[parent] + np.where(last[parent] <= s, 1, -1)
+        last = s + 1
+    if first > 0:
+        rows = rows[rows[:, 0] == first]
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 #: Most values a block of the oracle leaves free behind its fixed prefix, so

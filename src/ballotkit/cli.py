@@ -17,8 +17,7 @@ from .enumeration import (
     Caps,
     SequenceRecord,
     count_sequence,
-    enumerate_oracle,
-    enumerate_pruned,
+    enumerate_rows,
 )
 from .errors import (
     BallotkitError,
@@ -28,7 +27,7 @@ from .errors import (
     UnsupportedClassError,
 )
 from .patterns import format_pattern_set, parse_pattern_set
-from .perms import check_step_word, format_perm, parse_perm
+from .perms import check_step_word, format_perm, format_rows, parse_perm
 
 SCHEMA_VERSION = verification.SCHEMA_VERSION
 
@@ -116,10 +115,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     caps = _resolve_caps(args)
     pset = _parsed(parse_pattern_set, args.patterns)
     ballot = not args.no_ballot
-    if args.method == "oracle":
-        listing = enumerate_oracle(args.n, pset, ballot=ballot, max_n=caps.oracle)
-    else:
-        listing = enumerate_pruned(args.n, pset, ballot=ballot, max_n=caps.pruned)
+    max_n = caps.oracle if args.method == "oracle" else caps.pruned
+    rows = enumerate_rows(args.n, pset, ballot=ballot, method=args.method, max_n=max_n)
+    text = format_rows(rows)
     if args.format == "json":
         _emit_json({
             "command": "enumerate",
@@ -127,12 +125,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             "n": args.n,
             "ballot": ballot,
             "method": args.method,
-            "count": len(listing),
-            "perms": [format_perm(p) for p in listing],
+            "count": len(rows),
+            "perms": text.split("\n")[:-1],
         })
     else:
-        for p in listing:
-            sys.stdout.write(format_perm(p) + "\n")
+        sys.stdout.write(text)
     return EXIT_OK
 
 

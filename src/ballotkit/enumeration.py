@@ -5,12 +5,16 @@ permutations.
 reference everything else is validated against; it refuses lengths above a
 cap (default 10, 10! = 3.6M candidates).  Its kernel ``_kernels.oracle_fill``
 is vectorized with numpy and scans the permutations in blocks of at most 9!
-rows.  ``enumerate_pruned`` grows permutations position by position and
-abandons a prefix as soon as it breaks the ballot prefix condition or
-contains a forbidden pattern; both conditions are monotone, so the two
-enumerators agree exactly wherever both run.  Its kernel
-``_kernels.pruned_fill`` tracks the forbidden values with the counter's
-blocked-sites state and is called once per first value.
+rows.  ``enumerate_pruned`` grows the members one length at a time, each
+from its standardized prefix, and never extends a prefix that breaks the
+ballot prefix condition or contains a forbidden pattern; both conditions are
+monotone, so the two enumerators agree exactly wherever both run.  Its
+kernel ``_kernels.pruned_fill`` steps every member of a length at once with
+numpy, tracking the forbidden values with the counter's blocked-sites state,
+and makes one call per listing.  Both enumerators return lists of tuples;
+``enumerate_rows`` is the one listing function behind them, which checks the
+cap, n and the pattern set once and returns the members as the rows of an
+integer array, as the CLI prints them.
 
 ``count_pruned`` and ``count_sequence`` produce tallies without
 materializing elements.  For length-3 pattern sets they make one pass of the
@@ -39,6 +43,8 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations as _all_perms
+
+import numpy as np
 
 from . import _kernels
 from .errors import CapExceededError, ConfigError, InvalidInputError
@@ -122,12 +128,10 @@ def _census_count(n: int, mask: int, ballot: bool) -> int:
     return int(avoiders[:, 1].sum() if ballot else avoiders.sum())
 
 
-def _partition_firsts(n: int, mask: int, ballot: bool) -> list[Perm]:
-    """The pruned listing, one kernel call per first value."""
-    out: list[Perm] = []
-    for first in range(1, n + 1):
-        out.extend(_rows_to_perms(_kernels.pruned_fill(n, mask, ballot, first)))
-    return out
+def _partition_firsts(n: int, mask: int, ballot: bool):
+    """The pruned listing as an (m, n) array, in one kernel call.  A function
+    of its own because ``perfbench/tracer.py`` times it by this name."""
+    return _kernels.pruned_fill(n, mask, ballot, 0)
 
 
 def _generic_members(n_max: int, pset: PatternSet, ballot: bool) -> Iterator[Perm]:
@@ -156,6 +160,43 @@ def _generic_members(n_max: int, pset: PatternSet, ballot: bool) -> Iterator[Per
                     stack.append((nxt, h))
 
 
+def enumerate_rows(
+    n: int,
+    patterns: PatternSet = (),
+    *,
+    ballot: bool = True,
+    method: str = "pruned",
+    max_n: int | None = None,
+) -> np.ndarray:
+    """Every avoider of length ``n`` as the rows of an (m, n) array, lex order.
+
+    ``method`` is "oracle" (exhaustive filtering) or "pruned"; each refuses n
+    above its cap, which ``max_n`` overrides.  Length 0 gives one empty row.
+    """
+    if method not in ("oracle", "pruned"):
+        raise InvalidInputError(f"unknown enumeration method: {method!r}")
+    _check_cap(n, max_n, f"{method} enumeration")
+    if n < 0:
+        raise InvalidInputError("n must be nonnegative")
+    if n == 0:
+        return np.empty((1, 0), dtype=np.uint8)
+    pset = canonical_pattern_set(patterns)
+    mask = _mask3(pset)
+    if mask is not None:
+        if method == "oracle":
+            return _kernels.oracle_fill(n, mask, ballot, 0)
+        return _partition_firsts(n, mask, ballot)
+    if method == "oracle":
+        members = [
+            p
+            for p in _all_perms(range(1, n + 1))
+            if (not ballot or is_ballot(p)) and avoids_all(p, pset)
+        ]
+    else:
+        members = sorted(p for p in _generic_members(n, pset, ballot) if len(p) == n)
+    return np.array(members, dtype=np.min_scalar_type(n)).reshape(len(members), n)
+
+
 def enumerate_oracle(
     n: int,
     patterns: PatternSet = (),
@@ -167,20 +208,8 @@ def enumerate_oracle(
 
     Refuses n above the oracle cap; pass ``max_n`` to override it.
     """
-    _check_cap(n, max_n, "oracle enumeration")
-    if n < 0:
-        raise InvalidInputError("n must be nonnegative")
-    if n == 0:
-        return [()]
-    pset = canonical_pattern_set(patterns)
-    mask = _mask3(pset)
-    if mask is None:
-        return [
-            p
-            for p in _all_perms(range(1, n + 1))
-            if (not ballot or is_ballot(p)) and avoids_all(p, pset)
-        ]
-    return _rows_to_perms(_kernels.oracle_fill(n, mask, ballot, 0))
+    return _rows_to_perms(enumerate_rows(n, patterns, ballot=ballot, method="oracle",
+                                         max_n=max_n))
 
 
 def enumerate_pruned(
@@ -190,20 +219,11 @@ def enumerate_pruned(
     ballot: bool = True,
     max_n: int | None = None,
 ) -> list[Perm]:
-    """Every avoider of length ``n`` by pruned backtracking, lex order.
+    """Every avoider of length ``n`` by pruned search, lex order.
 
     Matches ``enumerate_oracle`` element for element wherever both run.
     """
-    _check_cap(n, max_n, "pruned enumeration")
-    if n < 0:
-        raise InvalidInputError("n must be nonnegative")
-    if n == 0:
-        return [()]
-    pset = canonical_pattern_set(patterns)
-    mask = _mask3(pset)
-    if mask is None:
-        return sorted(p for p in _generic_members(n, pset, ballot) if len(p) == n)
-    return _partition_firsts(n, mask, ballot)
+    return _rows_to_perms(enumerate_rows(n, patterns, ballot=ballot, max_n=max_n))
 
 
 def count_pruned(

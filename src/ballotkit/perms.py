@@ -12,11 +12,14 @@ word never dips below zero when U counts +1 and D counts -1.
 
 Two textual formats are supported: the compact digit string ("456312",
 values 1..9 only) and the comma-separated form ("4,5,6,3,1,2") for any
-length.
+length.  ``format_rows`` prints a whole listing, held as the rows of an
+integer array, in the format ``format_perm`` picks.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InvalidInputError
 
@@ -208,3 +211,32 @@ def format_perm(p: Perm, style: str = "auto") -> str:
     if style == "csv" or (style == "auto" and len(p) > COMPACT_MAX_N):
         return ",".join(str(v) for v in p)
     return "".join(str(v) for v in p)
+
+
+def format_rows(rows: np.ndarray) -> str:
+    """One line per row of an (m, n) array of permutations, as ``format_perm``
+    writes them, each ending in a newline.
+
+    Every entry is spelled in one array pass: its digits right-aligned in a
+    fixed width, then its separator, with zero bytes in the unused places
+    (leading digits, and the commas the compact format omits) dropped at
+    the end.
+
+    >>> format_rows(np.array([[4, 5, 6, 3, 1, 2], [1, 2, 3, 4, 5, 6]]))
+    '456312\\n123456\\n'
+    >>> format_rows(np.arange(1, 11).reshape(1, 10))
+    '1,2,3,4,5,6,7,8,9,10\\n'
+    """
+    m, n = rows.shape
+    if n == 0:
+        return "\n" * m
+    width = len(str(n))
+    cells = np.zeros((m, n, width + 1), dtype=np.uint8)
+    for i in range(width):
+        place = 10 ** (width - 1 - i)
+        cells[:, :, i] = np.where(rows >= place, rows // place % 10 + ord("0"), 0)
+    if n > COMPACT_MAX_N:
+        cells[:, :, width] = ord(",")
+    cells[:, -1, width] = ord("\n")
+    text = cells.ravel()
+    return text[text != 0].tobytes().decode("ascii")

@@ -192,6 +192,13 @@ def test_out_of_range_sizes_and_caps_exit_2(capsys, monkeypatch):
     assert "BALLOTKIT_ORACLE_MAX_N" in err and "integer" in err
 
 
+def test_enumerate_past_the_row_bound_exits_2(capsys):
+    # ballot avoiders of length 11: 9,823,275 rows, more than a listing may hold
+    code, out, err = run_exit(capsys, "enumerate", "--n", "11")
+    assert (code, out) == (2, "")
+    assert "9,823,275 rows" in err
+
+
 def test_verify_n_max_0_is_usage_error(capsys):
     code, out, _ = run_exit(capsys, "verify", "--n-max", "0")
     assert (code, out) == (2, "")

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from naive import naive_census, naive_listings, naive_members
@@ -14,6 +15,7 @@ from ballotkit.enumeration import (
     count_sequence,
     enumerate_oracle,
     enumerate_pruned,
+    enumerate_rows,
 )
 from ballotkit.errors import CapExceededError, ConfigError, InvalidInputError
 from ballotkit.patterns import (
@@ -122,6 +124,50 @@ def test_pruned_rows_match_naive_all_masks(members):
         assert [tuple(r) for r in rows] == expected, (mask, ballot, n)
         by_first = [_kernels.pruned_fill(n, mask, ballot, v).tolist() for v in range(1, n + 1)]
         assert [tuple(r) for chunk in by_first for r in chunk] == expected, (mask, ballot, n)
+
+
+def _strictly_lex_increasing(rows):
+    steps = np.diff(rows.astype(np.int16), axis=0)
+    first = (steps != 0).argmax(axis=1)
+    return bool((steps[np.arange(len(steps)), first] > 0).all())
+
+
+def test_pruned_rows_match_counter_past_the_brute_force_range():
+    for mask in range(64):
+        for ballot in (True, False):
+            counts = _kernels.pruned_count(12, mask, ballot)
+            for n in range(8, 13):
+                if counts[n - 1] > 200_000:
+                    continue
+                rows = _kernels.pruned_fill(n, mask, ballot, 0)
+                assert rows.shape == (counts[n - 1], n), (mask, ballot, n)
+                assert _strictly_lex_increasing(rows), (mask, ballot, n)
+
+
+def test_pruned_rows_past_64_sites():
+    # sites no longer fit 64 bits, so the blocked sites are Python ints
+    pset = parse_pattern_set("123,132")
+    rows = _kernels.pruned_fill(100, _mask3(pset), True, 0)
+    assert rows.shape == (1, 100) and rows.dtype == np.uint8
+    member = tuple(rows[0].tolist())
+    assert sorted(member) == list(range(1, 101))
+    assert is_ballot(member) and avoids_all(member, pset)
+
+
+def test_pruned_rows_bound(monkeypatch):
+    monkeypatch.setattr(_kernels, "MAX_ROWS", 100)
+    assert len(_kernels.pruned_fill(6, 32, True, 0)) == 90
+    with pytest.raises(CapExceededError, match=r"ballot \{321\} at n=7 needs 297 rows"):
+        _kernels.pruned_fill(7, 32, True, 0)
+
+
+def test_enumerate_rows_shapes():
+    for method in ("oracle", "pruned"):
+        assert enumerate_rows(0, (), method=method).shape == (1, 0)
+        assert enumerate_rows(5, parse_pattern_set("123,231"), method=method).shape == (0, 5)
+        assert enumerate_rows(4, parse_pattern_set("1234"), method=method).shape == (8, 4)
+    with pytest.raises(InvalidInputError):
+        enumerate_rows(3, (), method="guess")
 
 
 def test_oracle_rows_match_naive_all_masks(members):

@@ -1,5 +1,6 @@
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from ballotkit.perms import (
     descent_word,
     direct_sum,
     format_perm,
+    format_rows,
     identity,
     is_ballot,
     is_ballot_word,
@@ -121,6 +123,16 @@ def test_parse_and_format_roundtrip():
     assert parse_perm(format_perm(long)) == long
     assert format_perm((4, 5, 6, 3, 1, 2)) == "456312"
     assert format_perm((4, 5, 6, 3, 1, 2), style="csv") == "4,5,6,3,1,2"
+
+
+def test_format_rows_matches_format_perm():
+    rng = np.random.default_rng(0)
+    for n in (0, 1, 9, 10, 12, 100):
+        rows = np.array([rng.permutation(n) + 1 for _ in range(5)], dtype=np.uint8)
+        rows = rows.reshape(5, n)
+        assert format_rows(rows) == "".join(format_perm(r) + "\n" for r in rows.tolist())
+        assert format_rows(rows.astype(np.int64)) == format_rows(rows)
+        assert format_rows(np.empty((0, n), dtype=np.uint8)) == ""
 
 
 def test_parse_rejects_bad_input():
