@@ -8,10 +8,13 @@ Each kernel runs on a workload large enough to dominate call overhead:
 transfer-state counting of four classes, pruned listing of the classes the
 ``enumerate`` workload of the benchmark lists and of the single ballot
 {123,132} avoider of length 100 (whose blocked sites outgrow 64 bits), the
-vectorized oracle scanning every permutation of length 9 and 10, and the
-oracle census of length 8.
+vectorized oracle listing one class from every permutation of length 9 and
+10, the oracle listing all 64 classes of length 8, ballot and plain, from
+one shared classification, and the oracle census of length 8.
 Every time is the median of ``--repeat`` runs, printed with its sample
-count.  All kernels run on the interpreter and numpy.
+count.  The oracle's classification memo is cleared before each oracle and
+census run, so each time includes the classification that every command
+pays once.  All kernels run on the interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import argparse
 import statistics
 import time
 
+from ballotkit import _kernels
 from ballotkit._kernels import oracle_census, oracle_fill, pruned_count, pruned_fill
 from ballotkit.enumeration import _mask3
 from ballotkit.patterns import parse_pattern_set
@@ -36,19 +40,26 @@ CASES = [
     ("pruned_fill {123,132} n=100", "fill", "123,132", 100, True),
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9, True),
     ("oracle_fill {132,213} n=10", "oracle", "132,213", 10, True),
+    ("oracle_fill every class n=8", "every", "", 8, True),
     ("oracle_census n=8", "census", "", 8, True),
 ]
 
+
+def _every_class(n):
+    """Every class of length n, ballot and plain, through the oracle."""
+    return [oracle_fill(n, mask, ballot, 0) for mask in range(64) for ballot in (True, False)]
+
+
 # the census is memoized per length; time the computation behind the cache
 KERNELS = {"count": pruned_count, "fill": pruned_fill, "oracle": oracle_fill,
-           "census": oracle_census.__wrapped__}
+           "every": _every_class, "census": oracle_census.__wrapped__}
 
 
 def _run(kind, mask, n, ballot):
     fn = KERNELS[kind]
     if kind == "count":
         return fn(n, mask, ballot)
-    if kind == "census":
+    if kind in ("every", "census"):
         return fn(n)
     return fn(n, mask, ballot, 0)
 
@@ -58,6 +69,7 @@ def _time(kind, mask, n, ballot, repeat):
     samples = []
     result = None
     for _ in range(repeat):
+        _kernels._oracle_codes.cache_clear()  # each oracle run classifies afresh
         t0 = time.perf_counter()
         result = _run(kind, mask, n, ballot)
         samples.append(time.perf_counter() - t0)
@@ -65,6 +77,8 @@ def _time(kind, mask, n, ballot, repeat):
         size = result[-1]
     elif kind == "census":
         size = int(result.sum())
+    elif kind == "every":
+        size = sum(map(len, result))
     else:
         size = len(result)
     return statistics.median(samples), size

@@ -32,12 +32,15 @@ numpy.
   validated against.  It is vectorized with numpy: the permutations are
   generated as uint8 blocks, one per fixed prefix (the first value, or the
   first n - 9 values from n = 11 on, so that no block exceeds 9! rows);
-  each row's ballot flag comes from a cumulative sum of +1/-1 steps, and
-  its set of contained length-3 patterns from one pass over all C(n, 3)
-  position triples, whose comparison codes a lookup table maps to
-  patterns.
-- ``oracle_census``: the same classification tallied by (set of contained
-  patterns, ballot flag), memoized per length, so one scan of length n
+  each row's code holds its set of contained length-3 patterns, from one
+  pass over all C(n, 3) position triples whose comparison codes a lookup
+  table maps to patterns, and its ballot flag, from a cumulative sum of
+  +1/-1 steps.  Up to n = ``_FREE_MAX`` the codes of a length are computed
+  once and kept, n! bytes, so every class of that length is listed from
+  one classification; the blocks themselves are rebuilt on each call.
+  Longer lengths are classified block by block and kept nowhere.
+- ``oracle_census``: the same codes tallied by (set of contained patterns,
+  ballot flag), memoized per length, so one classification of length n
   gives the oracle count of every class.
 """
 from __future__ import annotations
@@ -201,7 +204,8 @@ def pruned_fill(n, mask, ballot_req, first):
 
 
 #: Most values a block of the oracle leaves free behind its fixed prefix, so
-#: that no block holds more than 9! = 362,880 rows.
+#: that no block holds more than 9! = 362,880 rows; also the longest length
+#: whose classification is kept (9! bytes).
 _FREE_MAX = 9
 
 
@@ -235,15 +239,13 @@ def _lex_perms(k):
     return out
 
 
-def _oracle_blocks(n, first):
-    """Every permutation of 1..n, or those starting with ``first`` when it is
-    positive, as (rows, n) uint8 blocks in lex order: one block per prefix of
-    max(1, n - _FREE_MAX) values, followed by every order of the rest."""
+def _oracle_blocks(n):
+    """Every permutation of 1..n as (rows, n) uint8 blocks in lex order: one
+    block per prefix of max(1, n - _FREE_MAX) values, followed by every order
+    of the rest."""
     fixed = max(1, n - _FREE_MAX)
     tail = _lex_perms(n - fixed)
     for prefix in itertools.permutations(range(1, n + 1), fixed):
-        if first > 0 and prefix[0] != first:
-            continue
         block = np.empty((len(tail), n), dtype=np.uint8)
         block[:, :fixed] = prefix
         rest = block[:, fixed:]
@@ -253,8 +255,13 @@ def _oracle_blocks(n, first):
         yield block
 
 
+#: Bit of a classification code that holds the ballot flag.
+_BALLOT_BIT = 64
+
+
 def _classify(block):
-    """Each row's 6-bit set of contained length-3 patterns, and its ballot flag.
+    """Each row's classification code: its 6-bit set of contained length-3
+    patterns, plus ``_BALLOT_BIT`` when it is a ballot permutation.
 
     The ballot flag is a cumulative sum of +1 (ascent) and -1 (descent)
     steps that never goes below zero.  Every one of the C(n, 3) position
@@ -286,24 +293,49 @@ def _classify(block):
                 np.multiply(ab, ac[k], out=one_hot)
                 one_hot *= bc[j, k]
                 codes |= one_hot
-    return _PATTERNS_OF_CODES[codes], ballot
+    out = _PATTERNS_OF_CODES[codes]
+    out[ballot] |= _BALLOT_BIT
+    return out
+
+
+@functools.cache
+def _oracle_codes(n):
+    """The classification code of every permutation of 1..n, n <= _FREE_MAX,
+    as a read-only n!-byte uint8 array in lex order; computed once per n."""
+    codes = np.concatenate([_classify(block) for block in _oracle_blocks(n)])
+    codes.flags.writeable = False
+    return codes
+
+
+def _classified_blocks(n):
+    """Each block of ``_oracle_blocks(n)`` with its rows' codes, read from
+    the memo up to n = _FREE_MAX and classified afresh (and kept nowhere)
+    above it."""
+    if n > _FREE_MAX:
+        for block in _oracle_blocks(n):
+            yield block, _classify(block)
+        return
+    codes = _oracle_codes(n)
+    start = 0
+    for block in _oracle_blocks(n):
+        yield block, codes[start:start + len(block)]
+        start += len(block)
 
 
 def oracle_fill(n, mask, ballot_req, first):
     """Members of the class at length n as an (m, n) uint8 array, lex order.
 
-    Classifies every permutation of 1..n (or every one starting with
-    ``first`` when it is positive) and keeps those that contain no pattern
-    of ``mask`` and, when ``ballot_req`` is set, are ballot.
+    Keeps the permutations of 1..n that contain no pattern of ``mask`` and,
+    when ``ballot_req`` is set, are ballot; ``first`` > 0 keeps the rows
+    whose position 0 holds that value.
     """
-    kept = []
-    for block in _oracle_blocks(n, first):
-        patterns, ballot = _classify(block)
-        keep = (patterns & mask) == 0
-        if ballot_req:
-            keep &= ballot
-        kept.append(block[keep])
-    return np.concatenate(kept) if kept else np.empty((0, n), dtype=np.uint8)
+    forbidden = mask | _BALLOT_BIT if ballot_req else mask
+    wanted = _BALLOT_BIT if ballot_req else 0
+    kept = [block[(codes & forbidden) == wanted] for block, codes in _classified_blocks(n)]
+    rows = np.concatenate(kept)
+    if first > 0:
+        rows = rows[rows[:, 0] == first]
+    return rows
 
 
 @functools.cache
@@ -315,11 +347,11 @@ def oracle_census(n):
     ballot flag is b.  One classification of length n thus gives the oracle
     count of every class, ballot and plain; it is computed once per n.
     """
-    table = np.zeros(128, dtype=np.int64)
-    for block in _oracle_blocks(n, 0):
-        patterns, ballot = _classify(block)
-        table += np.bincount(patterns.astype(np.intp) * 2 + ballot, minlength=128)
-    table = table.reshape(64, 2)
+    parts = [_oracle_codes(n)] if n <= _FREE_MAX else map(_classify, _oracle_blocks(n))
+    table = np.zeros(2 * _BALLOT_BIT, dtype=np.int64)
+    for codes in parts:
+        table += np.bincount(codes, minlength=2 * _BALLOT_BIT)
+    table = np.ascontiguousarray(table.reshape(2, _BALLOT_BIT).T)
     table.flags.writeable = False
     return table
 

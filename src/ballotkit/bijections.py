@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InvalidInputError, UnrealizableWordError, UnsupportedClassError
-from .patterns import PatternSet, canonical_pattern_set, find_occurrence, format_pattern_set
+from .patterns import (
+    PatternSet,
+    _set_name,
+    canonical_pattern_set,
+    find_occurrence,
+    format_pattern_set,
+)
 from .perms import (
     Perm,
     check_step_word,
@@ -156,7 +162,11 @@ def perm_from_word(patterns: PatternSet, w: str) -> Perm:
     >>> perm_from_word(((1, 3, 2), (2, 1, 3), (3, 2, 1)), "UUDU")
     (3, 4, 5, 1, 2)
     """
-    name = format_pattern_set(canonical_pattern_set(patterns))
+    return _member_with_word(format_pattern_set(patterns), w)
+
+
+def _member_with_word(name: str, w: str) -> Perm:
+    """``perm_from_word`` for the class whose canonical name is ``name``."""
     if name not in _BUILDERS:
         raise UnsupportedClassError(
             f"{{{name}}} is not one of the descent-word-determined classes"
@@ -171,16 +181,17 @@ def perm_from_word(patterns: PatternSet, w: str) -> Perm:
 
 def wilf_transport(p: Perm, source: PatternSet, target: PatternSet) -> Perm:
     """Map a member of one class to the same-word member of an equivalent class."""
-    src = format_pattern_set(canonical_pattern_set(source))
-    dst = format_pattern_set(canonical_pattern_set(target))
+    src_set = canonical_pattern_set(source)
+    src = _set_name(src_set)
+    dst = format_pattern_set(target)
     src_family = _family_of(src)
     dst_family = _family_of(dst)
     if src_family is None or dst_family is None or src_family is not dst_family:
         raise UnsupportedClassError(
             f"{{{src}}} and {{{dst}}} are not word-equivalent classes"
         )
-    _require_member(p, canonical_pattern_set(source), "wilf_transport")
-    return perm_from_word(target, descent_word(p))
+    _require_member(p, src_set, "wilf_transport")
+    return _member_with_word(dst, descent_word(p))
 
 
 _DYCK_CLASS: PatternSet = ((1, 3, 2), (2, 1, 3))

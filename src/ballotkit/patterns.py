@@ -7,6 +7,7 @@ removed, so "213,132" and "132,213" denote the same class everywhere.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 
 from .errors import InvalidInputError
@@ -48,24 +49,47 @@ def parse_pattern_set(text: str) -> PatternSet:
 
 def format_pattern_set(pset: PatternSet) -> str:
     """Canonical textual form, e.g. "132,213"; "" for the unrestricted class."""
-    return ",".join("".join(str(v) for v in q) for q in canonical_pattern_set(pset))
+    return _set_name(canonical_pattern_set(pset))
 
 
-def _match_from(p: Perm, q: Perm, start: int, chosen: list[int]) -> bool:
+def _set_name(pset: PatternSet) -> str:
+    """The textual form of a pattern set that is already canonical."""
+    return ",".join("".join(str(v) for v in q) for q in pset)
+
+
+@cache
+def _neighbours(q: Perm) -> tuple[tuple[int | None, int | None], ...]:
+    """For each index t of ``q``, the earlier indices holding q[t]'s nearest
+    value below and nearest value above (None where q[:t] has none)."""
+    out = []
+    for t, v in enumerate(q):
+        below = [s for s in range(t) if q[s] < v]
+        above = [s for s in range(t) if q[s] > v]
+        out.append((max(below, key=q.__getitem__, default=None),
+                    min(above, key=q.__getitem__, default=None)))
+    return tuple(out)
+
+
+def _match_from(p: Perm, near: tuple, start: int, chosen: list[int]) -> bool:
     """Extend ``chosen`` (indices matching q[:len(chosen)]) scanning from ``start``.
 
-    Indices are explored in increasing order, so the first full match found is
-    the lexicographically least witness.
+    ``near`` is ``_neighbours(q)``.  Since ``chosen`` already matches q[:t]
+    in order, a value extends it exactly when it lies strictly between the
+    values chosen at q[t]'s nearest neighbours below and above.  Indices are
+    explored in increasing order, so the first full match found is the
+    lexicographically least witness.
     """
     t = len(chosen)
-    if t == len(q):
+    if t == len(near):
         return True
+    below, above = near[t]
+    lo = 0 if below is None else p[chosen[below]]
+    hi = len(p) + 1 if above is None else p[chosen[above]]
     # Too few positions left to host the remaining pattern entries.
-    for c in range(start, len(p) - (len(q) - t) + 1):
-        v = p[c]
-        if all((q[s] < q[t]) == (p[chosen[s]] < v) for s in range(t)):
+    for c in range(start, len(p) - (len(near) - t) + 1):
+        if lo < p[c] < hi:
             chosen.append(c)
-            if _match_from(p, q, c + 1, chosen):
+            if _match_from(p, near, c + 1, chosen):
                 return True
             chosen.pop()
     return False
@@ -89,7 +113,7 @@ def find_occurrence(p: Perm, q: Perm) -> tuple[int, ...] | None:
     (1, 2, 3)
     """
     chosen: list[int] = []
-    if _match_from(p, q, 0, chosen):
+    if _match_from(p, _neighbours(tuple(q)), 0, chosen):
         return tuple(c + 1 for c in chosen)
     return None
 

@@ -17,6 +17,15 @@ def naive_contains(p, q):
     return any(naive_standardize(sub) == q for sub in combinations(p, len(q)))
 
 
+def naive_occurrence(p, q):
+    """The first index tuple (1-indexed, in combinations order) whose values
+    standardize to q, or None."""
+    for idx in combinations(range(len(p)), len(q)):
+        if naive_standardize(tuple(p[i] for i in idx)) == q:
+            return tuple(i + 1 for i in idx)
+    return None
+
+
 def naive_is_ballot(p):
     asc = desc = 0
     for i in range(len(p) - 1):

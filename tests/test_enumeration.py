@@ -190,6 +190,30 @@ def test_oracle_blocks_by_longer_prefixes(monkeypatch):
         assert all(r[0] == v for v, chunk in enumerate(by_first, 1) for r in chunk)
 
 
+def test_oracle_classifies_each_length_once(monkeypatch):
+    classified = []
+    classify = _kernels._classify
+
+    def counted(block):
+        classified.append(len(block))
+        return classify(block)
+
+    monkeypatch.setattr(_kernels, "_classify", counted)
+    _kernels._oracle_codes.cache_clear()
+    _kernels.oracle_census.cache_clear()
+    for mask in (0, 6, 40, 63):
+        for ballot in (True, False):
+            _kernels.oracle_fill(8, mask, ballot, 0)
+    _kernels.oracle_census(8)
+    assert classified == [5040] * 8  # one block per first value
+    assert not _kernels._oracle_codes(8).flags.writeable
+    # past _FREE_MAX every call classifies afresh and keeps nothing
+    kept = _kernels._oracle_codes.cache_info().currsize
+    assert len(_kernels.oracle_fill(10, 6, True, 0)) == 126
+    assert len(classified) == 8 + 10
+    assert _kernels._oracle_codes.cache_info().currsize == kept
+
+
 def test_oracle_census_matches_naive_census(census):
     for n in range(1, 9):
         expected = [[0, 0] for _ in range(64)]

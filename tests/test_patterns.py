@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from naive import naive_contains
+from naive import naive_contains, naive_occurrence
 from ballotkit.errors import InvalidInputError
 from ballotkit.patterns import (
     ALL_CLASSES,
@@ -81,6 +81,26 @@ def test_witness_agrees_with_contains(values, q):
     assert (witness is not None) == contains(p, q)
     if witness is not None:
         assert standardize(tuple(p[i - 1] for i in witness)) == q
+
+
+#: Every pattern of length 1 to 4.
+SHORT_PATTERNS = tuple(q for k in range(1, 5) for q in permutations(range(1, k + 1)))
+
+
+def test_witness_is_least_exhaustively():
+    for n in range(0, 7):
+        for p in permutations(range(1, n + 1)):
+            for q in SHORT_PATTERNS:
+                assert find_occurrence(p, q) == naive_occurrence(p, q), (p, q)
+
+
+@given(
+    st.integers(8, 12).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.sampled_from(SHORT_PATTERNS),
+)
+def test_witness_is_least_random(values, q):
+    p = tuple(values)
+    assert find_occurrence(p, q) == naive_occurrence(p, q)
 
 
 def test_canonical_ordering_and_parse():
