@@ -10,11 +10,13 @@ transfer-state counting of four classes, pruned listing of the classes the
 {123,132} avoider of length 100 (whose blocked sites outgrow 64 bits), the
 vectorized oracle listing one class from every permutation of length 9 and
 10, the oracle listing all 64 classes of length 8, ballot and plain, from
-one shared classification, and the oracle census of length 8.
-Every time is the median of ``--repeat`` runs, printed with its sample
-count.  The oracle's classification memo is cleared before each oracle and
-census run, so each time includes the classification that every command
-pays once.  All kernels run on the interpreter and numpy.
+one shared classification, the oracle census of length 8, and the
+bijection suite of ``verify`` to n = 8 and n = 10 (its rows list from the
+oracle up to its default cap of 10).  Every time is the median of
+``--repeat`` runs, printed with its sample count.  The oracle's row and
+classification memos are cleared before each run, so each time includes
+the work that every command pays once.  All kernels run on the
+interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from ballotkit import _kernels
 from ballotkit._kernels import oracle_census, oracle_fill, pruned_count, pruned_fill
 from ballotkit.enumeration import _mask3
 from ballotkit.patterns import parse_pattern_set
+from ballotkit.verification import suite_bijections
 
 # (label, kernel, class, n, ballot)
 CASES = [
@@ -42,6 +45,8 @@ CASES = [
     ("oracle_fill {132,213} n=10", "oracle", "132,213", 10, True),
     ("oracle_fill every class n=8", "every", "", 8, True),
     ("oracle_census n=8", "census", "", 8, True),
+    ("suite_bijections n=8", "bijections", "", 8, True),
+    ("suite_bijections n=10", "bijections", "", 10, True),
 ]
 
 
@@ -52,14 +57,15 @@ def _every_class(n):
 
 # the census is memoized per length; time the computation behind the cache
 KERNELS = {"count": pruned_count, "fill": pruned_fill, "oracle": oracle_fill,
-           "every": _every_class, "census": oracle_census.__wrapped__}
+           "every": _every_class, "census": oracle_census.__wrapped__,
+           "bijections": suite_bijections}
 
 
 def _run(kind, mask, n, ballot):
     fn = KERNELS[kind]
     if kind == "count":
         return fn(n, mask, ballot)
-    if kind in ("every", "census"):
+    if kind in ("every", "census", "bijections"):
         return fn(n)
     return fn(n, mask, ballot, 0)
 
@@ -70,6 +76,7 @@ def _time(kind, mask, n, ballot, repeat):
     result = None
     for _ in range(repeat):
         _kernels._oracle_codes.cache_clear()  # each oracle run classifies afresh
+        _kernels._lex_rows.cache_clear()  # and builds its rows afresh
         t0 = time.perf_counter()
         result = _run(kind, mask, n, ballot)
         samples.append(time.perf_counter() - t0)
@@ -79,6 +86,8 @@ def _time(kind, mask, n, ballot, repeat):
         size = int(result.sum())
     elif kind == "every":
         size = sum(map(len, result))
+    elif kind == "bijections":
+        size = sum(row["status"] == "pass" for row in result)
     else:
         size = len(result)
     return statistics.median(samples), size

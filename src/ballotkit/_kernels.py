@@ -30,15 +30,19 @@ numpy.
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
   validated against.  It is vectorized with numpy: the permutations are
-  generated as uint8 blocks, one per fixed prefix (the first value, or the
-  first n - 9 values from n = 11 on, so that no block exceeds 9! rows);
-  each row's code holds its set of contained length-3 patterns, from one
-  pass over all C(n, 3) position triples whose comparison codes a lookup
-  table maps to patterns, and its ballot flag, from a cumulative sum of
-  +1/-1 steps.  Up to n = ``_FREE_MAX`` the codes of a length are computed
-  once and kept, n! bytes, so every class of that length is listed from
-  one classification; the blocks themselves are rebuilt on each call.
-  Longer lengths are classified block by block and kept nowhere.
+  uint8 blocks, one per fixed prefix (the first value, or the first n - 9
+  values from n = 10 on, so that no block exceeds 9! rows); each row's
+  code holds its set of contained length-3 patterns, from one pass over
+  all C(n, 3) position triples whose comparison codes a lookup table maps
+  to patterns, and its ballot flag, from a cumulative sum of +1/-1 steps.
+  Up to n = ``_FREE_MAX`` = 9 every permutation of a length is kept as one
+  read-only row array (3.3 MB at n = 9), each built from the one below, so
+  the blocks are views of it and a class is one boolean index of it.  Up to
+  n = ``_CODES_MAX`` = 10 the codes of a length are computed once and kept,
+  n! bytes (3.6 MB at n = 10), so every class of that length is listed from
+  one classification; at n = 10 a call builds only the members, from the
+  rows of length 9 that the codes of each block select.  From n = 11 on
+  every block is built and classified afresh and kept nowhere.
 - ``oracle_census``: the same codes tallied by (set of contained patterns,
   ballot flag), memoized per length, so one classification of length n
   gives the oracle count of every class.
@@ -205,8 +209,11 @@ def pruned_fill(n, mask, ballot_req, first):
 
 #: Most values a block of the oracle leaves free behind its fixed prefix, so
 #: that no block holds more than 9! = 362,880 rows; also the longest length
-#: whose classification is kept (9! bytes).
+#: whose rows are kept (9! x 9 bytes).
 _FREE_MAX = 9
+#: Longest length whose classification codes are kept (10! bytes); at least
+#: ``_FREE_MAX``.
+_CODES_MAX = 10
 
 
 def _codes_to_patterns():
@@ -229,30 +236,53 @@ def _codes_to_patterns():
 _PATTERNS_OF_CODES = _codes_to_patterns()
 
 
-@functools.cache
-def _lex_perms(k):
-    """Every permutation of 0..k-1 as a read-only (k!, k) uint8 array, lex order."""
-    flat = itertools.chain.from_iterable(itertools.permutations(range(k)))
-    out = np.fromiter(flat, dtype=np.uint8, count=math.factorial(k) * k)
-    out = out.reshape(math.factorial(k), k)
-    out.flags.writeable = False
+def _block(prefix, tail, out=None):
+    """``prefix`` followed by each row of ``tail`` stepped over the values
+    the prefix holds, as an (len(tail), n) uint8 array, written into ``out``
+    when given.  With ``tail`` every permutation of 1..k in lex order, the
+    block is every permutation of 1..n that starts with ``prefix``, in lex
+    order; row i of the block comes from row i of ``tail``."""
+    fixed = len(prefix)
+    if out is None:
+        out = np.empty((len(tail), fixed + tail.shape[1]), dtype=np.uint8)
+    out[:, :fixed] = prefix
+    rest = out[:, fixed:]
+    rest[...] = tail
+    for v in sorted(prefix):
+        rest += rest >= v  # step over the values the prefix holds
     return out
+
+
+@functools.cache
+def _lex_rows(n):
+    """Every permutation of 1..n, n <= _FREE_MAX, as a read-only (n!, n)
+    uint8 array in lex order: one block per first value, each built from
+    the rows of length n - 1; computed once per n."""
+    if n == 0:
+        rows = np.empty((1, 0), dtype=np.uint8)
+    else:
+        tail = _lex_rows(n - 1)
+        rows = np.empty((n * len(tail), n), dtype=np.uint8)
+        for v, block in enumerate(np.split(rows, n), 1):
+            _block((v,), tail, out=block)
+    rows.flags.writeable = False
+    return rows
+
+
+def _prefixes(n):
+    """The prefix of each block of ``_oracle_blocks(n)``, n > _FREE_MAX."""
+    return itertools.permutations(range(1, n + 1), n - _FREE_MAX)
 
 
 def _oracle_blocks(n):
     """Every permutation of 1..n as (rows, n) uint8 blocks in lex order: one
     block per prefix of max(1, n - _FREE_MAX) values, followed by every order
-    of the rest."""
-    fixed = max(1, n - _FREE_MAX)
-    tail = _lex_perms(n - fixed)
-    for prefix in itertools.permutations(range(1, n + 1), fixed):
-        block = np.empty((len(tail), n), dtype=np.uint8)
-        block[:, :fixed] = prefix
-        rest = block[:, fixed:]
-        np.add(tail, 1, out=rest)
-        for v in sorted(prefix):
-            rest += rest >= v  # step over the values the prefix holds
-        yield block
+    of the rest.  Up to n = _FREE_MAX the blocks are views of ``_lex_rows(n)``;
+    longer lengths build each block afresh on the rows of length _FREE_MAX."""
+    if n <= _FREE_MAX:
+        return np.split(_lex_rows(n), n)
+    tail = _lex_rows(_FREE_MAX)
+    return (_block(prefix, tail) for prefix in _prefixes(n))
 
 
 #: Bit of a classification code that holds the ballot flag.
@@ -300,26 +330,20 @@ def _classify(block):
 
 @functools.cache
 def _oracle_codes(n):
-    """The classification code of every permutation of 1..n, n <= _FREE_MAX,
-    as a read-only n!-byte uint8 array in lex order; computed once per n."""
-    codes = np.concatenate([_classify(block) for block in _oracle_blocks(n)])
-    codes.flags.writeable = False
-    return codes
+    """The classification code of every permutation of 1..n, n <= _CODES_MAX,
+    as a read-only n!-byte uint8 array in lex order; computed once per n.
 
-
-def _classified_blocks(n):
-    """Each block of ``_oracle_blocks(n)`` with its rows' codes, read from
-    the memo up to n = _FREE_MAX and classified afresh (and kept nowhere)
-    above it."""
-    if n > _FREE_MAX:
-        for block in _oracle_blocks(n):
-            yield block, _classify(block)
-        return
-    codes = _oracle_codes(n)
+    The array is made before the first block is classified, so that it
+    does not sit above the classification temporaries on the heap and keep
+    their memory from being reused (that cost 20 MB of peak RSS at n = 10).
+    """
+    codes = np.empty(math.factorial(n), dtype=np.uint8)
     start = 0
     for block in _oracle_blocks(n):
-        yield block, codes[start:start + len(block)]
+        codes[start:start + len(block)] = _classify(block)
         start += len(block)
+    codes.flags.writeable = False
+    return codes
 
 
 def oracle_fill(n, mask, ballot_req, first):
@@ -331,8 +355,18 @@ def oracle_fill(n, mask, ballot_req, first):
     """
     forbidden = mask | _BALLOT_BIT if ballot_req else mask
     wanted = _BALLOT_BIT if ballot_req else 0
-    kept = [block[(codes & forbidden) == wanted] for block, codes in _classified_blocks(n)]
-    rows = np.concatenate(kept)
+    if n <= _FREE_MAX:
+        rows = _lex_rows(n)[(_oracle_codes(n) & forbidden) == wanted]
+    elif n <= _CODES_MAX:
+        # the codes of a block are in the order of the tail rows it is built
+        # from, so only the members are built
+        tail = _lex_rows(_FREE_MAX)
+        codes = _oracle_codes(n).reshape(-1, len(tail))
+        rows = np.concatenate([_block(prefix, tail[(c & forbidden) == wanted])
+                               for prefix, c in zip(_prefixes(n), codes)])
+    else:
+        rows = np.concatenate([block[(_classify(block) & forbidden) == wanted]
+                               for block in _oracle_blocks(n)])
     if first > 0:
         rows = rows[rows[:, 0] == first]
     return rows
@@ -347,7 +381,7 @@ def oracle_census(n):
     ballot flag is b.  One classification of length n thus gives the oracle
     count of every class, ballot and plain; it is computed once per n.
     """
-    parts = [_oracle_codes(n)] if n <= _FREE_MAX else map(_classify, _oracle_blocks(n))
+    parts = [_oracle_codes(n)] if n <= _CODES_MAX else map(_classify, _oracle_blocks(n))
     table = np.zeros(2 * _BALLOT_BIT, dtype=np.int64)
     for codes in parts:
         table += np.bincount(codes, minlength=2 * _BALLOT_BIT)

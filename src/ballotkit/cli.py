@@ -38,6 +38,9 @@ EXIT_USAGE = 2
 #: The longest length the counting rules are evaluated at.  Every registered
 #: rule stays under Python's 4,300-digit limit for printing an int there.
 FORMULA_MAX_N = 1000
+#: The longest ``biject`` input: entries of ``--perm``, letters of ``--word``.
+#: The membership check is cubic in the length (0.25 s for the identity here).
+BIJECT_MAX_LEN = 300
 
 
 class _UsageError(Exception):
@@ -65,6 +68,15 @@ def _int_from(low: int):
         return value
 
     return parse
+
+
+def _biject_input(flag: str, parse, text: str):
+    """``parse(text)`` for a ``biject`` flag, within ``BIJECT_MAX_LEN``."""
+    value = _parsed(parse, text)
+    if len(value) > BIJECT_MAX_LEN:
+        raise _UsageError(f"{flag} has length {len(value)}, more than the limit of "
+                          f"{BIJECT_MAX_LEN}")
+    return value
 
 
 def _check_formula_n(n: int) -> None:
@@ -207,18 +219,19 @@ def _cmd_biject(args: argparse.Namespace) -> int:
         if args.inverse:
             if args.word is None:
                 raise UnsupportedClassError("--map dyck --inverse needs --word")
-            w = _parsed(check_step_word, args.word)
+            w = _biject_input("--word", check_step_word, args.word)
             sys.stdout.write(format_perm(bijections.from_dyck_prefix(w)) + "\n")
         else:
             if args.perm is None:
                 raise UnsupportedClassError("--map dyck needs --perm")
-            sys.stdout.write(bijections.to_dyck_prefix(_parsed(parse_perm, args.perm)) + "\n")
+            p = _biject_input("--perm", parse_perm, args.perm)
+            sys.stdout.write(bijections.to_dyck_prefix(p) + "\n")
         return EXIT_OK
     if args.map == "transport":
         if args.perm is None or args.source is None or args.target is None:
             raise UnsupportedClassError("--map transport needs --perm, --from, and --to")
         image = bijections.wilf_transport(
-            _parsed(parse_perm, args.perm),
+            _biject_input("--perm", parse_perm, args.perm),
             _parsed(parse_pattern_set, args.source),
             _parsed(parse_pattern_set, args.target),
         )
@@ -227,14 +240,14 @@ def _cmd_biject(args: argparse.Namespace) -> int:
     if args.map == "insert-132-321":
         if args.perm is None:
             raise UnsupportedClassError(f"--map {args.map} needs --perm")
-        p = _parsed(parse_perm, args.perm)
+        p = _biject_input("--perm", parse_perm, args.perm)
         image = bijections.remove_132_321(p) if args.inverse else bijections.insert_132_321(p)
         sys.stdout.write(format_perm(image) + "\n")
         return EXIT_OK
     if args.map == "prepend-231-321":
         if args.perm is None:
             raise UnsupportedClassError(f"--map {args.map} needs --perm")
-        p = _parsed(parse_perm, args.perm)
+        p = _biject_input("--perm", parse_perm, args.perm)
         image = bijections.behead_231_321(p) if args.inverse else bijections.prepend_231_321(p)
         sys.stdout.write(format_perm(image) + "\n")
         return EXIT_OK

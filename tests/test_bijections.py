@@ -3,6 +3,7 @@ from math import comb
 import pytest
 
 from naive import naive_members
+from ballotkit import bijections
 from ballotkit.bijections import (
     DESCENT_WORD_FAMILIES,
     behead_231_321,
@@ -26,6 +27,7 @@ from ballotkit.errors import (
 )
 from ballotkit.patterns import parse_pattern_set
 from ballotkit.perms import descent_set, descent_word, identity, parse_perm
+from ballotkit.verification import suite_bijections
 
 
 def _class(text):
@@ -76,6 +78,18 @@ def test_wilf_transport_families():
                         assert descent_set(p) == descent_set(q)
                     back = [wilf_transport(q, dst_pset, src_pset) for q in image]
                     assert back == listings[src]
+
+
+@pytest.mark.parametrize("name, wrong, row", [
+    ("132,312", "_from_word_213_231", "transport-132,213"),
+    ("213,231,312", "_from_word_132_213", "transport-132,213,312"),
+])
+def test_transport_check_catches_a_wrong_builder(monkeypatch, name, wrong, row):
+    monkeypatch.setitem(bijections._BUILDERS, name, getattr(bijections, wrong))
+    rows = {r["check"]: r for r in suite_bijections(8)}
+    assert rows[row]["status"] == "fail"
+    assert rows[row]["failure"] == f"{name} builder at n=3"
+    assert all(r["status"] == "pass" for check, r in rows.items() if check != row)
 
 
 def test_wilf_transport_figure_pairing():

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ballotkit import formulas, verification
-from ballotkit.cli import FORMULA_MAX_N, main, parse_json_output
+from ballotkit.cli import BIJECT_MAX_LEN, FORMULA_MAX_N, main, parse_json_output
 from ballotkit.enumeration import Caps
 from ballotkit.errors import InvalidInputError
 
@@ -141,6 +141,25 @@ def test_biject_non_membership_names_witness(capsys):
     assert code == 1
     assert out == ""
     assert "contains 132 at positions (1, 2, 3)" in err
+
+
+def test_biject_inputs_are_bounded(capsys):
+    assert BIJECT_MAX_LEN == 300
+
+    def identity(n):
+        return ",".join(map(str, range(1, n + 1)))
+
+    for n in (301, 300):
+        code, out, err = run(capsys, "biject", "--map", "dyck", "--perm", identity(n))
+        if n > BIJECT_MAX_LEN:
+            assert (code, out) == (2, "") and "limit of 300" in err
+        else:
+            assert (code, out, err) == (0, "U" * (n - 1) + "\n", "")
+        code, out, err = run(capsys, "biject", "--map", "dyck", "--inverse", "--word", "U" * n)
+        if n > BIJECT_MAX_LEN:
+            assert (code, out) == (2, "") and "limit of 300" in err
+        else:
+            assert (code, out, err) == (0, identity(n + 1) + "\n", "")
 
 
 def test_parse_errors_exit_2(capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -177,17 +179,30 @@ def test_oracle_rows_match_naive_all_masks(members):
 
 
 def test_oracle_blocks_by_longer_prefixes(monkeypatch):
-    # lengths past 9 fix more than the first value per block; shrink the
+    # lengths past 9 build their blocks behind a prefix (of more than the
+    # first value from n = 11 on) on the kept rows of length 9; shrink the
     # free part so that small lengths take that path, and restrict the
     # first value the way a caller may
-    expected = {(n, mask): _kernels.oracle_fill(n, mask, True, 0).tolist()
-                for n in range(1, 7) for mask in (0, 6, 40)}
+    expected = {(n, mask, ballot): _kernels.oracle_fill(n, mask, ballot, 0).tolist()
+                for n in range(1, 7) for mask in range(64) for ballot in (True, False)}
     monkeypatch.setattr(_kernels, "_FREE_MAX", 3)
-    for (n, mask), rows in expected.items():
-        assert _kernels.oracle_fill(n, mask, True, 0).tolist() == rows, (n, mask)
+    for (n, mask, ballot), rows in expected.items():
+        assert _kernels.oracle_fill(n, mask, ballot, 0).tolist() == rows, (n, mask, ballot)
+        if mask not in (0, 6, 40) or not ballot:
+            continue
         by_first = [_kernels.oracle_fill(n, mask, True, v).tolist() for v in range(1, n + 1)]
         assert [r for chunk in by_first for r in chunk] == rows, (n, mask)
         assert all(r[0] == v for v, chunk in enumerate(by_first, 1) for r in chunk)
+
+
+def test_oracle_rows_are_kept_read_only():
+    for n in range(0, _kernels._FREE_MAX + 1):
+        rows = _kernels._lex_rows(n)
+        assert rows.shape == (math.factorial(n), n) and not rows.flags.writeable, n
+    assert _kernels._lex_rows(3).tolist() == [list(p) for p in itertools.permutations((1, 2, 3))]
+    # the blocks of a kept length are views of its rows, not copies
+    blocks = list(_kernels._oracle_blocks(8))
+    assert len(blocks) == 8 and all(b.base is _kernels._lex_rows(8) for b in blocks)
 
 
 def test_oracle_classifies_each_length_once(monkeypatch):
@@ -207,10 +222,15 @@ def test_oracle_classifies_each_length_once(monkeypatch):
     _kernels.oracle_census(8)
     assert classified == [5040] * 8  # one block per first value
     assert not _kernels._oracle_codes(8).flags.writeable
-    # past _FREE_MAX every call classifies afresh and keeps nothing
+    # past _CODES_MAX every call classifies afresh and keeps nothing; move
+    # both bounds down so that this takes 8! permutations, not 11!
+    expected = _kernels.oracle_fill(8, 6, True, 0).tolist()
+    monkeypatch.setattr(_kernels, "_FREE_MAX", 6)
+    monkeypatch.setattr(_kernels, "_CODES_MAX", 7)
     kept = _kernels._oracle_codes.cache_info().currsize
-    assert len(_kernels.oracle_fill(10, 6, True, 0)) == 126
-    assert len(classified) == 8 + 10
+    for calls in (1, 2):
+        assert _kernels.oracle_fill(8, 6, True, 0).tolist() == expected
+        assert classified == [5040] * 8 + [720] * 56 * calls  # one block per first 2 values
     assert _kernels._oracle_codes.cache_info().currsize == kept
 
 
