@@ -38,11 +38,11 @@ numpy.
   Up to n = ``_FREE_MAX`` = 9 every permutation of a length is kept as one
   read-only row array (3.3 MB at n = 9), each built from the one below, so
   the blocks are views of it and a class is one boolean index of it.  Up to
-  n = ``_CODES_MAX`` = 10 the codes of a length are computed once and kept,
-  n! bytes (3.6 MB at n = 10), so every class of that length is listed from
-  one classification; at n = 10 a call builds only the members, from the
-  rows of length 9 that the codes of each block select.  From n = 11 on
-  every block is built and classified afresh and kept nowhere.
+  n = ``_FREE_MAX`` + 1 = 10 the codes of a length are computed once and
+  kept, n! bytes (3.6 MB at n = 10), so every class of that length is
+  listed from one classification.  From n = 11 on every block is
+  classified afresh and kept nowhere.  Past n = 9 a call builds only the
+  members of each block, from the rows of length 9 that its codes select.
 - ``oracle_census``: the same codes tallied by (set of contained patterns,
   ballot flag), memoized per length, so one classification of length n
   gives the oracle count of every class.
@@ -209,11 +209,9 @@ def pruned_fill(n, mask, ballot_req, first):
 
 #: Most values a block of the oracle leaves free behind its fixed prefix, so
 #: that no block holds more than 9! = 362,880 rows; also the longest length
-#: whose rows are kept (9! x 9 bytes).
+#: whose rows are kept (9! x 9 bytes).  The codes are kept one length
+#: further, to the last length with one block per first value (10! bytes).
 _FREE_MAX = 9
-#: Longest length whose classification codes are kept (10! bytes); at least
-#: ``_FREE_MAX``.
-_CODES_MAX = 10
 
 
 def _codes_to_patterns():
@@ -330,8 +328,9 @@ def _classify(block):
 
 @functools.cache
 def _oracle_codes(n):
-    """The classification code of every permutation of 1..n, n <= _CODES_MAX,
-    as a read-only n!-byte uint8 array in lex order; computed once per n.
+    """The classification code of every permutation of 1..n,
+    n <= _FREE_MAX + 1, as a read-only n!-byte uint8 array in lex order;
+    computed once per n.
 
     The array is made before the first block is classified, so that it
     does not sit above the classification temporaries on the heap and keep
@@ -346,6 +345,15 @@ def _oracle_codes(n):
     return codes
 
 
+def _block_codes(n):
+    """The codes of each block of ``_oracle_blocks(n)``, in block order: rows
+    of the memo up to n = _FREE_MAX + 1 (one block per first value), and
+    classified afresh, kept nowhere, above it."""
+    if n <= _FREE_MAX + 1:
+        return _oracle_codes(n).reshape(n, -1)
+    return map(_classify, _oracle_blocks(n))
+
+
 def oracle_fill(n, mask, ballot_req, first):
     """Members of the class at length n as an (m, n) uint8 array, lex order.
 
@@ -357,16 +365,12 @@ def oracle_fill(n, mask, ballot_req, first):
     wanted = _BALLOT_BIT if ballot_req else 0
     if n <= _FREE_MAX:
         rows = _lex_rows(n)[(_oracle_codes(n) & forbidden) == wanted]
-    elif n <= _CODES_MAX:
+    else:
         # the codes of a block are in the order of the tail rows it is built
         # from, so only the members are built
         tail = _lex_rows(_FREE_MAX)
-        codes = _oracle_codes(n).reshape(-1, len(tail))
-        rows = np.concatenate([_block(prefix, tail[(c & forbidden) == wanted])
-                               for prefix, c in zip(_prefixes(n), codes)])
-    else:
-        rows = np.concatenate([block[(_classify(block) & forbidden) == wanted]
-                               for block in _oracle_blocks(n)])
+        rows = np.concatenate([_block(prefix, tail[(codes & forbidden) == wanted])
+                               for prefix, codes in zip(_prefixes(n), _block_codes(n))])
     if first > 0:
         rows = rows[rows[:, 0] == first]
     return rows
@@ -381,9 +385,8 @@ def oracle_census(n):
     ballot flag is b.  One classification of length n thus gives the oracle
     count of every class, ballot and plain; it is computed once per n.
     """
-    parts = [_oracle_codes(n)] if n <= _CODES_MAX else map(_classify, _oracle_blocks(n))
     table = np.zeros(2 * _BALLOT_BIT, dtype=np.int64)
-    for codes in parts:
+    for codes in _block_codes(n):
         table += np.bincount(codes, minlength=2 * _BALLOT_BIT)
     table = np.ascontiguousarray(table.reshape(2, _BALLOT_BIT).T)
     table.flags.writeable = False

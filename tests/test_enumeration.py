@@ -182,10 +182,15 @@ def test_oracle_blocks_by_longer_prefixes(monkeypatch):
     # lengths past 9 build their blocks behind a prefix (of more than the
     # first value from n = 11 on) on the kept rows of length 9; shrink the
     # free part so that small lengths take that path, and restrict the
-    # first value the way a caller may
+    # first value the way a caller may; every mask up to n = 5, and at n = 6,
+    # whose 120 blocks make each call slow, the masks of the first-value checks
+    cases = [(n, mask) for n in range(1, 6) for mask in range(64)] + [(6, 0), (6, 6), (6, 40)]
     expected = {(n, mask, ballot): _kernels.oracle_fill(n, mask, ballot, 0).tolist()
-                for n in range(1, 7) for mask in range(64) for ballot in (True, False)}
+                for n, mask in cases for ballot in (True, False)}
     monkeypatch.setattr(_kernels, "_FREE_MAX", 3)
+    # then n = 4 classifies its blocks behind the first value once and keeps
+    # the codes, and n = 5, 6 classify theirs afresh on every call
+    _kernels._oracle_codes.cache_clear()
     for (n, mask, ballot), rows in expected.items():
         assert _kernels.oracle_fill(n, mask, ballot, 0).tolist() == rows, (n, mask, ballot)
         if mask not in (0, 6, 40) or not ballot:
@@ -222,11 +227,10 @@ def test_oracle_classifies_each_length_once(monkeypatch):
     _kernels.oracle_census(8)
     assert classified == [5040] * 8  # one block per first value
     assert not _kernels._oracle_codes(8).flags.writeable
-    # past _CODES_MAX every call classifies afresh and keeps nothing; move
-    # both bounds down so that this takes 8! permutations, not 11!
+    # past _FREE_MAX + 1 every call classifies afresh and keeps nothing;
+    # move the bound down so that this takes 8! permutations, not 11!
     expected = _kernels.oracle_fill(8, 6, True, 0).tolist()
     monkeypatch.setattr(_kernels, "_FREE_MAX", 6)
-    monkeypatch.setattr(_kernels, "_CODES_MAX", 7)
     kept = _kernels._oracle_codes.cache_info().currsize
     for calls in (1, 2):
         assert _kernels.oracle_fill(8, 6, True, 0).tolist() == expected
