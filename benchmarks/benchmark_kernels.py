@@ -6,8 +6,9 @@ Usage:
 
 Each kernel runs on a workload large enough to dominate call overhead:
 transfer-state counting of four classes, pruned listing of the classes the
-``enumerate`` workload of the benchmark lists and of the single ballot
-{123,132} avoider of length 100 (whose blocked sites outgrow 64 bits), the
+``enumerate`` workload of the benchmark lists, of the single ballot
+{123,132} avoider of length 100 (whose blocked sites outgrow 64 bits) and
+of two sets with patterns of length 4 (dropped by the completion test), the
 vectorized oracle listing one class from every permutation of length 9 and
 10, the oracle listing all 64 classes of length 8, ballot and plain, from
 one shared classification, the oracle census of length 8, and the
@@ -26,7 +27,7 @@ import time
 
 from ballotkit import _kernels
 from ballotkit._kernels import oracle_census, oracle_fill, pruned_count, pruned_fill
-from ballotkit.enumeration import _mask3
+from ballotkit.enumeration import _split
 from ballotkit.patterns import parse_pattern_set
 from ballotkit.verification import suite_bijections
 
@@ -41,6 +42,8 @@ CASES = [
     ("pruned_fill {231} plain n=10", "fill", "231", 10, False),
     ("pruned_fill {321} n=11", "fill", "321", 11, True),
     ("pruned_fill {123,132} n=100", "fill", "123,132", 100, True),
+    ("pruned_fill {1234} plain n=10", "fill", "1234", 10, False),
+    ("pruned_fill {3142,2413} n=9", "fill", "2413,3142", 9, True),
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9, True),
     ("oracle_fill {132,213} n=10", "oracle", "132,213", 10, True),
     ("oracle_fill every class n=8", "every", "", 8, True),
@@ -61,16 +64,19 @@ KERNELS = {"count": pruned_count, "fill": pruned_fill, "oracle": oracle_fill,
            "bijections": suite_bijections}
 
 
-def _run(kind, mask, n, ballot):
+def _run(kind, pset, n, ballot):
     fn = KERNELS[kind]
+    mask, rest = _split(pset)
     if kind == "count":
         return fn(n, mask, ballot)
     if kind in ("every", "census", "bijections"):
         return fn(n)
+    if kind == "fill":
+        return fn(n, mask, ballot, 0, rest)
     return fn(n, mask, ballot, 0)
 
 
-def _time(kind, mask, n, ballot, repeat):
+def _time(kind, pset, n, ballot, repeat):
     """Median seconds over ``repeat`` runs, and the result size."""
     samples = []
     result = None
@@ -78,7 +84,7 @@ def _time(kind, mask, n, ballot, repeat):
         _kernels._oracle_codes.cache_clear()  # each oracle run classifies afresh
         _kernels._lex_rows.cache_clear()  # and builds its rows afresh
         t0 = time.perf_counter()
-        result = _run(kind, mask, n, ballot)
+        result = _run(kind, pset, n, ballot)
         samples.append(time.perf_counter() - t0)
     if kind == "count":
         size = result[-1]
@@ -103,8 +109,7 @@ def main() -> None:
     print(f"medians of {args.repeat} run(s) each")
     print(f"{'case':<36} {'time':>10}  result")
     for label, kind, class_text, n, ballot in CASES:
-        mask = _mask3(parse_pattern_set(class_text))
-        seconds, size = _time(kind, mask, n, ballot, args.repeat)
+        seconds, size = _time(kind, parse_pattern_set(class_text), n, ballot, args.repeat)
         print(f"{label:<36} {seconds:>9.3f}s  {size}")
 
 

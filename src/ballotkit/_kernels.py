@@ -1,9 +1,10 @@
 """Hot enumeration and counting kernels.
 
-Kernels only understand pattern sets in which every pattern has length 3,
-encoded as a 6-bit mask over the lexicographic pattern order
-123, 132, 213, 231, 312, 321.  Callers route other sets to the generic
-pure-Python paths in ``enumeration``.
+Kernels encode the length-3 patterns of a set as a 6-bit mask over the
+lexicographic pattern order 123, 132, 213, 231, 312, 321.  ``pruned_fill``
+also takes the set's patterns of other lengths.  The counter and the oracle
+take the mask alone, so ``enumeration`` counts a set with such a pattern by
+listing it, and its oracle filters every permutation in pure Python.
 
 There are three kernels and a census.  All run on the interpreter and
 numpy.
@@ -22,10 +23,12 @@ numpy.
   made only at an open site, one whose entry completes no forbidden triple
   and, with the ballot flag, takes the height no lower than zero; prefixes
   of members are members, so the walk visits members only and no prefix
-  without a completion.  One lexsort at the end gives lexicographic order.
-  At most ``MAX_ROWS`` rows are held per length; past that it raises
-  ``CapExceededError``.  Which sites the entries block is stated once, in
-  ``_blocked_by``, for both kernels.
+  without a completion.  Patterns not of length 3 are tested on the
+  children: one whose new last entry completes an occurrence is dropped.
+  One lexsort at the end gives lexicographic order.  At most ``MAX_ROWS``
+  children are built per length; past that it raises ``CapExceededError``.
+  Which sites the entries block is stated once, in ``_blocked_by``, for
+  both kernels.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -60,14 +63,14 @@ from .patterns import LENGTH3_PATTERNS, format_pattern_set
 
 #: Most states ``pruned_count`` keeps for one length (under 20 MB of tables).
 MAX_STATES = 100_000
-#: Most rows ``pruned_fill`` holds at one length.
+#: Most children ``pruned_fill`` builds at one length.
 MAX_ROWS = 4_000_000
 
 
-def _class_label(mask, ballot_req):
+def _class_label(mask, ballot_req, rest=()):
     """The class of a kernel call as cap errors name it, e.g. "ballot {132}"."""
-    name = format_pattern_set(tuple(q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1))
-    return f"{'ballot' if ballot_req else 'plain'} {{{name}}}"
+    pset = tuple(q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1) + tuple(rest)
+    return f"{'ballot' if ballot_req else 'plain'} {{{format_pattern_set(pset)}}}"
 
 
 def _sites(lo, hi):
@@ -157,21 +160,42 @@ def pruned_count(n, mask, ballot_req):
     return counts
 
 
-def pruned_fill(n, mask, ballot_req, first):
+def _completes(rows, q):
+    """For each row, whether its last entry ends an occurrence of ``q``.
+
+    Every choice of len(q) - 1 earlier positions is tried: their entries
+    and the last must compare pairwise as the entries of q do.
+    """
+    cols = np.ascontiguousarray(rows.T)
+    k = len(cols) - 1
+    hit = np.zeros(len(rows), dtype=bool)
+    for pos in itertools.combinations(range(k), len(q) - 1):
+        pos += (k,)
+        occ = np.ones(len(rows), dtype=bool)
+        for a, b in itertools.combinations(range(len(q)), 2):
+            lo, hi = (pos[a], pos[b]) if q[a] < q[b] else (pos[b], pos[a])
+            occ &= cols[lo] < cols[hi]
+        hit |= occ
+    return hit
+
+
+def pruned_fill(n, mask, ballot_req, first, rest=()):
     """Members of the class at length n as an (m, n) array, lex order.
 
-    ``first`` > 0 keeps the rows whose position 0 holds that value.  The
-    walk steps the counter's generating tree one length at a time over
-    whole arrays: the frontier is every member of length k, each with its
-    blocked sites, last rank and height.  A child places a new last entry
-    at an open site s, so the entries above s move up by one and s + 1 is
-    appended; its blocked sites follow the counter's own step.  Prefixes of
-    members are members, so every row visited is a member of its length.
-    No level may hold more than ``MAX_ROWS`` rows; past that it raises
-    ``CapExceededError``.
+    The class avoids the length-3 patterns of ``mask`` and the patterns of
+    other lengths in ``rest``.  ``first`` > 0 keeps the rows whose position
+    0 holds that value.  The walk steps the counter's generating tree one
+    length at a time over whole arrays: the frontier is every member of
+    length k, each with its blocked sites, last rank and height.  A child
+    places a new last entry at an open site s, so the entries above s move
+    up by one and s + 1 is appended; its blocked sites follow the counter's
+    own step.  A child whose new entry completes an occurrence of a pattern
+    in ``rest`` is dropped.  Prefixes of members are members, so every row
+    visited is a member of its length.  No length may build more than
+    ``MAX_ROWS`` children; past that it raises ``CapExceededError``.
     """
     dtype = np.min_scalar_type(n)
-    if n < 1:
+    if n < 1 or any(len(q) == 1 for q in rest):  # every entry is an occurrence of 1
         return np.empty((0, n), dtype=dtype)
     bits = np.uint64 if n < 64 else object  # a level of length k has k + 1 sites
     rows = np.ones((1, 1), dtype=dtype)
@@ -186,13 +210,18 @@ def pruned_fill(n, mask, ballot_req, first):
         size = np.count_nonzero(open_)
         if size > MAX_ROWS:
             raise CapExceededError(
-                f"listing {_class_label(mask, ballot_req)} at n={n} needs {size:,} rows at "
-                f"length {k + 1}, more than {MAX_ROWS:,}; lower n")
+                f"listing {_class_label(mask, ballot_req, rest)} at n={n} needs {size:,} rows "
+                f"at length {k + 1}, more than {MAX_ROWS:,}; lower n")
         parent, s = np.nonzero(open_)
         prev = rows[parent]
         rows = np.empty((size, k + 1), dtype=dtype)
         np.add(prev, prev > s.astype(dtype)[:, None], out=rows[:, :k])
         rows[:, k] = s + 1
+        if rest:
+            # the parent avoids every q, so only an occurrence that ends at
+            # the new entry can be new
+            keep = ~np.logical_or.reduce([_completes(rows, q) for q in rest])
+            rows, parent, s = rows[keep], parent[keep], s[keep]
         if k + 1 == n:  # the last length needs no state to grow from
             break
         b, sb = blocked[parent], s.astype(bits)

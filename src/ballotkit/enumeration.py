@@ -10,28 +10,30 @@ from its standardized prefix, and never extends a prefix that breaks the
 ballot prefix condition or contains a forbidden pattern; both conditions are
 monotone, so the two enumerators agree exactly wherever both run.  Its
 kernel ``_kernels.pruned_fill`` steps every member of a length at once with
-numpy, tracking the forbidden values with the counter's blocked-sites state,
-and makes one call per listing.  Both enumerators return lists of tuples;
-``enumerate_rows`` is the one listing function behind them, which checks the
-cap, n and the pattern set once and returns the members as the rows of an
-integer array, as the CLI prints them.
+numpy, tracking the values that length-3 patterns forbid with the counter's
+blocked-sites state, and makes one call per listing.  Both enumerators
+return lists of tuples; ``enumerate_rows`` is the one listing function
+behind them, which checks the cap, n and the pattern set once and returns
+the members as the rows of an integer array, as the CLI prints them.
 
-``count_pruned`` and ``count_sequence`` produce tallies without
-materializing elements.  For length-3 pattern sets they make one pass of the
-transfer-state counter ``_kernels.pruned_count``, which runs interpreted on
-Python ints and yields every length up to n at once.
+``count_pruned`` and ``count_sequence`` produce tallies.  For length-3
+pattern sets they make one pass of the transfer-state counter
+``_kernels.pruned_count``, which materializes no element, runs interpreted
+on Python ints and yields every length up to n at once.
 It keeps a bounded number of states per length and raises
 ``CapExceededError`` past that bound, as it does past the length cap.
 ``count_sequence(..., "oracle")`` reads length-3 classes off the oracle's
 census (``_kernels.oracle_census``): one memoized classification per length
 counts every class, ballot and plain, without listing any of them.
 
-Pattern sets whose members all have length 3 run on the kernels in
-``_kernels``; anything else takes one pure-Python search,
-``_generic_members``, which walks West's generating tree once and yields
-the members of every length up to n: ``enumerate_pruned`` sorts those of
-length n, and ``count_sequence`` tallies every length from the same pass.
-Run on length-3 classes, it also cross-checks the kernels at small n.
+``_split`` parts a pattern set into the 6-bit mask of its length-3
+patterns and the patterns of other lengths.  The listing kernel takes both:
+it drops each child whose new last entry completes an occurrence of one of
+the others.  So one walk of West's generating tree lists every pattern set,
+and the pruned count of a set with such a pattern is the size of its
+listing at each length, bounded, like listing, by ``_kernels.MAX_ROWS``
+children per length.  The oracle lists and counts those sets by filtering
+every permutation through ``avoids_all``.
 
 Each function takes its length cap as ``max_n``; None means the default.
 ``Caps`` holds both caps for callers that pass them down, such as
@@ -40,7 +42,6 @@ here reads the environment; the CLI resolves the caps once per command.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import permutations as _all_perms
 
@@ -107,14 +108,10 @@ class SequenceRecord:
         return self.counts[n - self.start]
 
 
-def _mask3(pset: PatternSet) -> int | None:
-    """6-bit kernel mask, or None when some pattern is not of length 3."""
-    mask = 0
-    for q in pset:
-        if len(q) != 3:
-            return None
-        mask |= 1 << LENGTH3_PATTERNS.index(q)
-    return mask
+def _split(pset: PatternSet) -> tuple[int, PatternSet]:
+    """The 6-bit kernel mask of the length-3 patterns, and the other patterns."""
+    mask = sum(1 << LENGTH3_PATTERNS.index(q) for q in pset if len(q) == 3)
+    return mask, tuple(q for q in pset if len(q) != 3)
 
 
 def _rows_to_perms(rows) -> list[Perm]:
@@ -128,36 +125,10 @@ def _census_count(n: int, mask: int, ballot: bool) -> int:
     return int(avoiders[:, 1].sum() if ballot else avoiders.sum())
 
 
-def _partition_firsts(n: int, mask: int, ballot: bool):
+def _partition_firsts(n: int, mask: int, ballot: bool, rest: PatternSet):
     """The pruned listing as an (m, n) array, in one kernel call.  A function
     of its own because ``perfbench/tracer.py`` times it by this name."""
-    return _kernels.pruned_fill(n, mask, ballot, 0)
-
-
-def _generic_members(n_max: int, pset: PatternSet, ballot: bool) -> Iterator[Perm]:
-    """Every member of lengths 1..n_max, each once, for pattern sets the
-    kernels do not cover.
-
-    A depth-first walk of West's generating tree: a member's children append
-    a last entry of rank r = 1..len+1, lifting the entries at or above r.  A
-    member's standardized prefixes are members, so pruning a non-member loses
-    none.  The parent avoids ``pset``, so ``avoids_all`` on a child decides
-    whether the new entry completes an occurrence.
-    """
-    stack: list[tuple[Perm, int]] = [((), 0)]
-    while stack:
-        pre, height = stack.pop()
-        for r in range(1, len(pre) + 2):
-            h = height
-            if pre:
-                h += 1 if pre[-1] < r else -1
-                if ballot and h < 0:
-                    continue
-            nxt = tuple(x + 1 if x >= r else x for x in pre) + (r,)
-            if avoids_all(nxt, pset):
-                yield nxt
-                if len(nxt) < n_max:
-                    stack.append((nxt, h))
+    return _kernels.pruned_fill(n, mask, ballot, 0, rest)
 
 
 def enumerate_rows(
@@ -181,19 +152,16 @@ def enumerate_rows(
     if n == 0:
         return np.empty((1, 0), dtype=np.uint8)
     pset = canonical_pattern_set(patterns)
-    mask = _mask3(pset)
-    if mask is not None:
-        if method == "oracle":
-            return _kernels.oracle_fill(n, mask, ballot, 0)
-        return _partition_firsts(n, mask, ballot)
-    if method == "oracle":
-        members = [
-            p
-            for p in _all_perms(range(1, n + 1))
-            if (not ballot or is_ballot(p)) and avoids_all(p, pset)
-        ]
-    else:
-        members = sorted(p for p in _generic_members(n, pset, ballot) if len(p) == n)
+    mask, rest = _split(pset)
+    if method == "pruned":
+        return _partition_firsts(n, mask, ballot, rest)
+    if not rest:
+        return _kernels.oracle_fill(n, mask, ballot, 0)
+    members = [
+        p
+        for p in _all_perms(range(1, n + 1))
+        if (not ballot or is_ballot(p)) and avoids_all(p, pset)
+    ]
     return np.array(members, dtype=np.min_scalar_type(n)).reshape(len(members), n)
 
 
@@ -253,10 +221,10 @@ def count_sequence(
     if n_max < 1:
         raise InvalidInputError("n_max must be at least 1")
     pset = canonical_pattern_set(patterns)
+    mask, rest = _split(pset)
     if method == "oracle":
         _check_cap(n_max, max_n, "oracle counting")
-        mask = _mask3(pset)
-        if mask is None:
+        if rest:
             counts = tuple(
                 len(enumerate_oracle(n, pset, ballot=ballot, max_n=max_n))
                 for n in range(1, n_max + 1)
@@ -265,12 +233,9 @@ def count_sequence(
             counts = tuple(_census_count(n, mask, ballot) for n in range(1, n_max + 1))
     elif method == "pruned":
         _check_cap(n_max, max_n, "pruned counting")
-        mask = _mask3(pset)
-        if mask is None:
-            tally = [0] * n_max
-            for p in _generic_members(n_max, pset, ballot):
-                tally[len(p) - 1] += 1
-            counts = tuple(tally)
+        if rest:
+            counts = tuple(len(_kernels.pruned_fill(n, mask, ballot, 0, rest))
+                           for n in range(1, n_max + 1))
         else:
             counts = tuple(_kernels.pruned_count(n_max, mask, ballot))
     else:

@@ -1,18 +1,21 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from naive import naive_census, naive_listings, naive_members
+import ballotkit
 from ballotkit import _kernels
 from ballotkit.cli import main
 from ballotkit.enumeration import (
     Caps,
     SequenceRecord,
-    _mask3,
-    _generic_members,
+    _split,
     count_pruned,
     count_sequence,
     enumerate_oracle,
@@ -78,23 +81,24 @@ def test_output_is_lexicographic_and_valid():
 
 
 def test_generic_paths_match_kernels():
-    # untypical pattern lengths take the pure-Python route; force the
-    # length-3 classes through it as well and compare
-    for text in ("132,213", "321"):
-        pset = parse_pattern_set(text)
-        members = list(_generic_members(6, pset, True))
-        assert len(members) == len(set(members))
-        for n in range(1, 7):
-            of_length_n = sorted(p for p in members if len(p) == n)
-            assert of_length_n == enumerate_pruned(n, pset)
-            assert len(of_length_n) == count_pruned(n, pset)
+    # patterns not of length 3 are dropped by the completion test, not by
+    # blocked sites; force every length-3 class through it and compare
+    for mask in range(64):
+        pats = tuple(_forbidden(mask))
+        for ballot in (True, False):
+            for n in range(1, 8):
+                expected = _kernels.pruned_fill(n, mask, ballot, 0)
+                rows = _kernels.pruned_fill(n, 0, ballot, 0, pats)
+                assert rows.dtype == expected.dtype, (mask, ballot, n)
+                assert np.array_equal(rows, expected), (mask, ballot, n)
+                assert len(rows) == count_pruned(n, pats, ballot=ballot), (mask, ballot, n)
 
 
 def test_non_length3_patterns():
     for text, n_top in (("12", 6), ("21", 6), ("1", 4), ("1234", 7), ("3142,2413", 7),
                         ("123,1234", 7)):
         pset = parse_pattern_set(text)
-        assert _mask3(pset) is None
+        assert _split(pset)[1]
         naive_counts = []
         for n in range(0, n_top):
             expected = naive_members(n, pset) if n else [()]
@@ -103,6 +107,33 @@ def test_non_length3_patterns():
             assert count_pruned(n, pset) == len(expected)
             naive_counts.append(len(expected))
         assert count_sequence(pset, n_top - 1).counts == tuple(naive_counts[1:])
+
+
+def test_walk_matches_generic_oracle():
+    for text in ("1234", "2143", "3142,2413", "123,1234"):
+        pset = parse_pattern_set(text)
+        for ballot in (True, False):
+            oracle_counts = []
+            for n in range(1, 9):
+                rows = enumerate_rows(n, pset, ballot=ballot)
+                expected = enumerate_rows(n, pset, ballot=ballot, method="oracle")
+                assert rows.dtype == expected.dtype, (text, ballot, n)
+                assert np.array_equal(rows, expected), (text, ballot, n)
+                oracle_counts.append(len(expected))
+            # the oracle counts these sets by listing them, as above
+            assert count_sequence(pset, 8, ballot=ballot).counts == tuple(oracle_counts)
+
+
+def test_generic_counting_is_bounded(monkeypatch, capsys):
+    # a set with a pattern not of length 3 is counted by listing each
+    # length, so the bound on the children of a length applies to it too
+    monkeypatch.setattr(_kernels, "MAX_ROWS", 100)
+    with pytest.raises(CapExceededError, match=r"ballot \{1234\} at n=\d+ needs [\d,]+ rows "
+                                               r"at length \d+"):
+        count_sequence(parse_pattern_set("1234"), 8)
+    assert main(["enumerate", "--patterns", "1234", "--n", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "ballot {1234}" in err
 
 
 @pytest.fixture(scope="module")
@@ -149,7 +180,7 @@ def test_pruned_rows_match_counter_past_the_brute_force_range():
 def test_pruned_rows_past_64_sites():
     # sites no longer fit 64 bits, so the blocked sites are Python ints
     pset = parse_pattern_set("123,132")
-    rows = _kernels.pruned_fill(100, _mask3(pset), True, 0)
+    rows = _kernels.pruned_fill(100, _split(pset)[0], True, 0)
     assert rows.shape == (1, 100) and rows.dtype == np.uint8
     member = tuple(rows[0].tolist())
     assert sorted(member) == list(range(1, 101))
@@ -269,6 +300,27 @@ def test_oracle_memory_is_bounded():
         tracemalloc.stop()
     assert counting_peak < budget, counting_peak
     assert listing_peak < budget, listing_peak
+
+
+_RESIDENT_PEAK = """
+from ballotkit.enumeration import count_sequence, enumerate_oracle
+from ballotkit.patterns import parse_pattern_set
+assert count_sequence(parse_pattern_set("123,132"), 10, "oracle").counts[-1] == 1
+assert len(enumerate_oracle(10, parse_pattern_set("132,213"))) == 126
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_oracle_resident_memory_is_bounded():
+    # tracemalloc cannot see memory the allocator keeps resident; a fresh
+    # interpreter reads its own high-water mark of resident memory
+    # (ru_maxrss would carry this process's peak across exec)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ballotkit.__file__))}
+    out = subprocess.run([sys.executable, "-c", _RESIDENT_PEAK], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) < 80 * 1024, f"{int(out) / 1024:.1f} MB"  # VmHWM is in kB
 
 
 def test_counter_matches_brute_force_all_masks(census):
