@@ -1,10 +1,11 @@
 """Hot enumeration and counting kernels.
 
 Kernels encode the length-3 patterns of a set as a 6-bit mask over the
-lexicographic pattern order 123, 132, 213, 231, 312, 321.  ``pruned_fill``
+lexicographic pattern order 123, 132, 213, 231, 312, 321.  The level walk
 also takes the set's patterns of other lengths.  The counter and the oracle
 take the mask alone, so ``enumeration`` counts a set with such a pattern by
-listing it, and its oracle filters every permutation in pure Python.
+the sizes of the walk's levels, and its oracle filters every permutation in
+pure Python.
 
 There are three kernels and a census.  All run on the interpreter and
 numpy.
@@ -17,18 +18,18 @@ numpy.
   at a time, so one pass yields the counts of every length up to n.  Counts
   outgrow int64, so it works on Python ints.  At most ``MAX_STATES`` states
   are kept per length; past that it raises ``CapExceededError``.
-- ``pruned_fill``: the counter's generating tree walked one length at a
-  time with whole-array numpy steps, keeping every member of each length:
+- ``pruned_levels``: the counter's generating tree walked one length at a
+  time with whole-array numpy steps, yielding every member of each length:
   its standardized row, blocked sites, last rank and height.  A child is
   made only at an open site, one whose entry completes no forbidden triple
   and, with the ballot flag, takes the height no lower than zero; prefixes
   of members are members, so the walk visits members only and no prefix
   without a completion.  Patterns not of length 3 are tested on the
   children: one whose new last entry completes an occurrence is dropped.
-  One lexsort at the end gives lexicographic order.  At most ``MAX_ROWS``
-  children are built per length; past that it raises ``CapExceededError``.
-  Which sites the entries block is stated once, in ``_blocked_by``, for
-  both kernels.
+  At most ``MAX_ROWS`` children are built per length; past that it raises
+  ``CapExceededError``.  ``pruned_fill`` keeps the last length, and one
+  lexsort gives it lexicographic order.  Which sites the entries block is
+  stated once, in ``_blocked_by``, for the counter and the walk.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -179,29 +180,29 @@ def _completes(rows, q):
     return hit
 
 
-def pruned_fill(n, mask, ballot_req, first, rest=()):
-    """Members of the class at length n as an (m, n) array, lex order.
+def pruned_levels(n, mask, ballot_req, rest=()):
+    """Members of the class at each length k = 1..n, one unsorted (m, k)
+    array per length, from one walk.
 
     The class avoids the length-3 patterns of ``mask`` and the patterns of
-    other lengths in ``rest``.  ``first`` > 0 keeps the rows whose position
-    0 holds that value.  The walk steps the counter's generating tree one
-    length at a time over whole arrays: the frontier is every member of
-    length k, each with its blocked sites, last rank and height.  A child
-    places a new last entry at an open site s, so the entries above s move
-    up by one and s + 1 is appended; its blocked sites follow the counter's
-    own step.  A child whose new entry completes an occurrence of a pattern
-    in ``rest`` is dropped.  Prefixes of members are members, so every row
-    visited is a member of its length.  No length may build more than
-    ``MAX_ROWS`` children; past that it raises ``CapExceededError``.
+    other lengths in ``rest``.  The frontier is every member of length k,
+    each with its blocked sites, last rank and height.  A child places a
+    new last entry at an open site s, so the entries above s move up by one
+    and s + 1 is appended; its blocked sites follow the counter's own step.
+    A child whose new entry completes an occurrence of a pattern in
+    ``rest`` is dropped.  No length may build more than ``MAX_ROWS``
+    children; past that it raises ``CapExceededError``.
     """
+    if n < 1:
+        return
     dtype = np.min_scalar_type(n)
-    if n < 1 or any(len(q) == 1 for q in rest):  # every entry is an occurrence of 1
-        return np.empty((0, n), dtype=dtype)
     bits = np.uint64 if n < 64 else object  # a level of length k has k + 1 sites
-    rows = np.ones((1, 1), dtype=dtype)
-    blocked = np.zeros(1, dtype=bits)
-    last = np.ones(1, dtype=np.intp)
-    height = np.zeros(1, dtype=np.intp)
+    roots = 0 if any(len(q) == 1 for q in rest) else 1  # every entry is an occurrence of 1
+    rows = np.ones((roots, 1), dtype=dtype)
+    blocked = np.zeros(roots, dtype=bits)
+    last = np.ones(roots, dtype=np.intp)
+    height = np.zeros(roots, dtype=np.intp)
+    yield rows
     for k in range(1, n):
         sites = np.arange(k + 1)
         open_ = (blocked[:, None] >> sites.astype(bits) & 1) == 0
@@ -210,7 +211,7 @@ def pruned_fill(n, mask, ballot_req, first, rest=()):
         size = np.count_nonzero(open_)
         if size > MAX_ROWS:
             raise CapExceededError(
-                f"listing {_class_label(mask, ballot_req, rest)} at n={n} needs {size:,} rows "
+                f"{_class_label(mask, ballot_req, rest)} at n={n} needs {size:,} rows "
                 f"at length {k + 1}, more than {MAX_ROWS:,}; lower n")
         parent, s = np.nonzero(open_)
         prev = rows[parent]
@@ -222,8 +223,9 @@ def pruned_fill(n, mask, ballot_req, first, rest=()):
             # the new entry can be new
             keep = ~np.logical_or.reduce([_completes(rows, q) for q in rest])
             rows, parent, s = rows[keep], parent[keep], s[keep]
+        yield rows
         if k + 1 == n:  # the last length needs no state to grow from
-            break
+            return
         b, sb = blocked[parent], s.astype(bits)
         low = np.array([(2 << j) - 1 for j in range(k + 1)], dtype=bits)
         add = np.array(_blocked_by(mask, k), dtype=bits)
@@ -231,6 +233,15 @@ def pruned_fill(n, mask, ballot_req, first, rest=()):
         if ballot_req:
             height = height[parent] + np.where(last[parent] <= s, 1, -1)
         last = s + 1
+
+
+def pruned_fill(n, mask, ballot_req, first, rest=()):
+    """Members of the class at length n as an (m, n) array, lex order: the
+    last level of ``pruned_levels``, sorted.  ``first`` > 0 keeps the rows
+    whose position 0 holds that value."""
+    rows = np.empty((0, n), dtype=np.min_scalar_type(n))  # n < 1 has no level
+    for rows in pruned_levels(n, mask, ballot_req, rest):
+        pass
     if first > 0:
         rows = rows[rows[:, 0] == first]
     return rows[np.lexsort(rows.T[::-1])]

@@ -24,7 +24,6 @@ from .errors import (
     CapExceededError,
     ConfigError,
     InvalidInputError,
-    UnsupportedClassError,
 )
 from .patterns import format_pattern_set, parse_pattern_set
 from .perms import check_step_word, format_perm, format_rows, parse_perm
@@ -214,44 +213,43 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+#: Each ``biject`` map of one input: its forward and its inverse function.
+_BIJECT_MAPS = {
+    "dyck": (bijections.to_dyck_prefix, bijections.from_dyck_prefix),
+    "insert-132-321": (bijections.insert_132_321, bijections.remove_132_321),
+    "prepend-231-321": (bijections.prepend_231_321, bijections.behead_231_321),
+}
+
+
 def _cmd_biject(args: argparse.Namespace) -> int:
-    if args.map == "dyck":
-        if args.inverse:
-            if args.word is None:
-                raise UnsupportedClassError("--map dyck --inverse needs --word")
-            w = _biject_input("--word", check_step_word, args.word)
-            sys.stdout.write(format_perm(bijections.from_dyck_prefix(w)) + "\n")
-        else:
-            if args.perm is None:
-                raise UnsupportedClassError("--map dyck needs --perm")
-            p = _biject_input("--perm", parse_perm, args.perm)
-            sys.stdout.write(bijections.to_dyck_prefix(p) + "\n")
-        return EXIT_OK
     if args.map == "transport":
-        if args.perm is None or args.source is None or args.target is None:
-            raise UnsupportedClassError("--map transport needs --perm, --from, and --to")
+        takes = ("--perm", "--from", "--to")
+    elif args.map == "dyck" and args.inverse:
+        takes = ("--inverse", "--word")
+    else:
+        takes = ("--inverse", "--perm")
+    given = {"--inverse": args.inverse or None, "--perm": args.perm, "--word": args.word,
+             "--from": args.source, "--to": args.target}
+    usage = f"--map {args.map}" + (" --inverse" if args.inverse else "")
+    extra = [flag for flag, value in given.items() if value is not None and flag not in takes]
+    if extra:
+        raise _UsageError(f"{usage} does not take {', '.join(extra)}")
+    missing = [flag for flag in takes if given[flag] is None and flag != "--inverse"]
+    if missing:
+        raise _UsageError(f"{usage} needs {', '.join(missing)}")
+    if args.map == "transport":
         image = bijections.wilf_transport(
             _biject_input("--perm", parse_perm, args.perm),
             _parsed(parse_pattern_set, args.source),
             _parsed(parse_pattern_set, args.target),
         )
-        sys.stdout.write(format_perm(image) + "\n")
-        return EXIT_OK
-    if args.map == "insert-132-321":
-        if args.perm is None:
-            raise UnsupportedClassError(f"--map {args.map} needs --perm")
+    elif args.word is not None:
+        image = _BIJECT_MAPS[args.map][1](_biject_input("--word", check_step_word, args.word))
+    else:
         p = _biject_input("--perm", parse_perm, args.perm)
-        image = bijections.remove_132_321(p) if args.inverse else bijections.insert_132_321(p)
-        sys.stdout.write(format_perm(image) + "\n")
-        return EXIT_OK
-    if args.map == "prepend-231-321":
-        if args.perm is None:
-            raise UnsupportedClassError(f"--map {args.map} needs --perm")
-        p = _biject_input("--perm", parse_perm, args.perm)
-        image = bijections.behead_231_321(p) if args.inverse else bijections.prepend_231_321(p)
-        sys.stdout.write(format_perm(image) + "\n")
-        return EXIT_OK
-    raise UnsupportedClassError(f"unknown map: {args.map!r}")
+        image = _BIJECT_MAPS[args.map][args.inverse](p)
+    sys.stdout.write((image if isinstance(image, str) else format_perm(image)) + "\n")
+    return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -30,10 +30,11 @@ counts every class, ballot and plain, without listing any of them.
 patterns and the patterns of other lengths.  The listing kernel takes both:
 it drops each child whose new last entry completes an occurrence of one of
 the others.  So one walk of West's generating tree lists every pattern set,
-and the pruned count of a set with such a pattern is the size of its
-listing at each length, bounded, like listing, by ``_kernels.MAX_ROWS``
-children per length.  The oracle lists and counts those sets by filtering
-every permutation through ``avoids_all``.
+and the pruned counts of a set with such a pattern are the sizes of the
+levels of one walk to n (``_kernels.pruned_levels``), bounded, like
+listing, by ``_kernels.MAX_ROWS`` children per length.  The oracle lists
+and counts those sets by filtering every permutation through
+``avoids_all``.
 
 Each function takes its length cap as ``max_n``; None means the default.
 ``Caps`` holds both caps for callers that pass them down, such as
@@ -94,18 +95,17 @@ class SequenceRecord:
     """A computed or referenced count sequence for one avoidance class."""
 
     patterns: PatternSet
-    counts: tuple[int, ...]          # counts[i] is the value at n = start + i
+    counts: tuple[int, ...]          # counts[i] is the value at n = i + 1
     provenance: str                  # oracle | pruned | formula | paper-table
-    start: int = 1
 
     @property
     def class_name(self) -> str:
         return format_pattern_set(self.patterns)
 
     def value_at(self, n: int) -> int:
-        if not self.start <= n < self.start + len(self.counts):
+        if not 1 <= n <= len(self.counts):
             raise InvalidInputError(f"n={n} outside recorded range of {self.class_name}")
-        return self.counts[n - self.start]
+        return self.counts[n - 1]
 
 
 def _split(pset: PatternSet) -> tuple[int, PatternSet]:
@@ -234,8 +234,7 @@ def count_sequence(
     elif method == "pruned":
         _check_cap(n_max, max_n, "pruned counting")
         if rest:
-            counts = tuple(len(_kernels.pruned_fill(n, mask, ballot, 0, rest))
-                           for n in range(1, n_max + 1))
+            counts = tuple(map(len, _kernels.pruned_levels(n_max, mask, ballot, rest)))
         else:
             counts = tuple(_kernels.pruned_count(n_max, mask, ballot))
     else:

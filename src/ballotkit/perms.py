@@ -198,19 +198,14 @@ def parse_perm(text: str) -> Perm:
     return check_perm(int(c) for c in text)
 
 
-def format_perm(p: Perm, style: str = "auto") -> str:
-    """Render a permutation (``auto`` picks compact when every value fits).
+def format_perm(p: Perm) -> str:
+    """Render a permutation: compact when every value is one digit, else
+    comma-separated.
 
     >>> format_perm((4, 5, 6, 3, 1, 2))
     '456312'
     """
-    if style not in ("auto", "compact", "csv"):
-        raise InvalidInputError(f"unknown permutation format: {style!r}")
-    if style == "compact" and len(p) > COMPACT_MAX_N:
-        raise InvalidInputError(f"compact format holds at most {COMPACT_MAX_N} entries")
-    if style == "csv" or (style == "auto" and len(p) > COMPACT_MAX_N):
-        return ",".join(str(v) for v in p)
-    return "".join(str(v) for v in p)
+    return ("," if len(p) > COMPACT_MAX_N else "").join(str(v) for v in p)
 
 
 def format_rows(rows: np.ndarray) -> str:

@@ -9,24 +9,16 @@ enumeration finds the length-4 member 3412 (its triples realize only the
 patterns 231 and 312, and it is ballot), so the true counts are
 1,1,1,1,0,0.  The faithful as-printed comparison is kept as a strict
 expected failure; the companion test pins the remaining 40 rows byte-exact
-and the corrected row against the enumeration.  See notes/decisions.md in
-the workspace for the analysis trail.
+and the corrected row against the enumeration.
+
+Criteria 4, 5, 6 and 9 read the rows of ``verify --suite bijections`` at
+n = 12, the one implementation of the bijection checks.
 """
 from math import comb
 
 import pytest
 
-from ballotkit.bijections import (
-    DESCENT_WORD_FAMILIES,
-    behead_231_321,
-    from_dyck_prefix,
-    insert_132_321,
-    prepend_231_321,
-    remove_132_321,
-    to_dyck_prefix,
-    unique_members,
-    wilf_transport,
-)
+from ballotkit.bijections import DESCENT_WORD_FAMILIES, from_dyck_prefix, to_dyck_prefix
 from ballotkit.enumeration import count_pruned, enumerate_oracle, enumerate_pruned
 from ballotkit.formulas import (
     formula_count,
@@ -43,13 +35,28 @@ from ballotkit.patterns import (
     format_pattern_set,
     parse_pattern_set,
 )
-from ballotkit.perms import descent_set, parse_perm
+from ballotkit.perms import parse_perm
+from ballotkit.verification import suite_bijections
 
 MISPRINTED_CLASS = "123,132,321"
+BIJECTION_N = 12
 
 
 def _verdict(num: int, label: str) -> None:
     print(f"ACCEPTANCE {num}: {label}: PASS")
+
+
+@pytest.fixture(scope="module")
+def bijection_rows():
+    return {row["check"]: row for row in suite_bijections(BIJECTION_N)}
+
+
+def _assert_checked(rows, *checks):
+    """Each named row passed and ran to n = BIJECTION_N, not stopping early."""
+    for check in checks:
+        row = rows[check]
+        assert row["status"] == "pass", row
+        assert row["detail"].endswith(f" to n={BIJECTION_N}"), row
 
 
 def _table_rows():
@@ -119,56 +126,24 @@ def test_acceptance_3_formula_agreement():
                 "n = 20 (a_20 = 6765)")
 
 
-def test_acceptance_4_dyck_bijection():
-    pset = parse_pattern_set("132,213")
+def test_acceptance_4_dyck_bijection(bijection_rows):
     assert to_dyck_prefix(parse_perm("456312")) == "UUDDU"
     assert from_dyck_prefix("UUDDU") == parse_perm("456312")
-    for n in range(1, 13):
-        members = enumerate_pruned(n, pset)
-        assert len(members) == comb(n - 1, (n - 1) // 2), n
-        for p in members:
-            assert from_dyck_prefix(to_dyck_prefix(p)) == p
+    _assert_checked(bijection_rows, "dyck-roundtrip")
     _verdict(4, "lattice-word bijection round-trips and middle-binomial counts "
                 "to n = 12")
 
 
-def test_acceptance_5_wilf_transports():
-    for family in DESCENT_WORD_FAMILIES:
-        classes = {name: parse_pattern_set(name) for name in family.members}
-        for n in range(1, 11):
-            listings = {
-                name: enumerate_oracle(n, pset) for name, pset in classes.items()
-            }
-            for src, src_pset in classes.items():
-                for dst, dst_pset in classes.items():
-                    image = [
-                        wilf_transport(p, src_pset, dst_pset) for p in listings[src]
-                    ]
-                    assert sorted(image) == listings[dst], (src, dst, n)
-                    for p, q in zip(listings[src], image):
-                        assert descent_set(p) == descent_set(q), (src, dst, p)
-                    assert [
-                        wilf_transport(q, dst_pset, src_pset) for q in image
-                    ] == listings[src], (src, dst, n)
-    _verdict(5, "descent-preserving transports biject all three families, n <= 10")
+def test_acceptance_5_wilf_transports(bijection_rows):
+    _assert_checked(bijection_rows, *(f"transport-{family.canonical_member}"
+                                      for family in DESCENT_WORD_FAMILIES))
+    _verdict(5, "descent-preserving transports biject all three families, n <= 12")
 
 
-def test_acceptance_6_insertion_maps():
-    pset = parse_pattern_set("132,321")
-    for n in range(0, 9):
-        plain = enumerate_oracle(n, pset, ballot=False)
-        image = [insert_132_321(s) for s in plain]
-        assert sorted(image) == enumerate_oracle(n + 1, pset), n
-        assert len(image) == comb(n, 2) + 1, n
-        assert [remove_132_321(t) for t in image] == plain
-    pset = parse_pattern_set("231,321")
-    for n in range(0, 9):
-        plain = enumerate_oracle(n, pset, ballot=False)
-        image = [prepend_231_321(s) for s in plain]
-        assert sorted(image) == enumerate_oracle(n + 1, pset), n
-        assert len(image) == (2 ** (n - 1) if n >= 1 else 1), n
-        assert [behead_231_321(t) for t in image] == plain
-    _verdict(6, "insertion maps biject plain avoiders onto ballot avoiders, n <= 8")
+def test_acceptance_6_insertion_maps(bijection_rows):
+    _assert_checked(bijection_rows, "insertion-maps")
+    _verdict(6, "insertion maps biject plain avoiders of length n onto ballot "
+                "avoiders of length n + 1, n <= 11")
 
 
 def test_acceptance_7_odd_length_minimum_position():
@@ -196,11 +171,7 @@ def test_acceptance_8_offset_correction_pins():
                 "step ahead, n <= 9")
 
 
-def test_acceptance_9_unique_member_constructions():
-    for name in ("123,132", "123,213", "132,231", "123,132,213",
-                 "132,213,231", "132,231,312", "132,231,321"):
-        pset = parse_pattern_set(name)
-        for n in range(1, 11):
-            assert unique_members(pset, n) == enumerate_oracle(n, pset), (name, n)
-    _verdict(9, "explicit constructions equal oracle enumeration for all 7 "
-                "singleton-style classes, n <= 10")
+def test_acceptance_9_unique_member_constructions(bijection_rows):
+    _assert_checked(bijection_rows, "unique-members")
+    _verdict(9, "explicit constructions equal the enumeration for all 7 "
+                "singleton-style classes, n <= 12")

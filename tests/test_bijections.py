@@ -1,5 +1,3 @@
-from math import comb
-
 import pytest
 
 from naive import naive_members
@@ -80,16 +78,40 @@ def test_wilf_transport_families():
                     assert back == listings[src]
 
 
+def _fails_only(row, failure):
+    """At n = 8 the suite fails ``row`` with ``failure`` and passes every other row."""
+    rows = {r["check"]: r for r in suite_bijections(8)}
+    assert rows[row]["status"] == "fail"
+    assert rows[row]["failure"] == failure
+    assert all(r["status"] == "pass" for check, r in rows.items() if check != row)
+
+
 @pytest.mark.parametrize("name, wrong, row", [
     ("132,312", "_from_word_213_231", "transport-132,213"),
     ("213,231,312", "_from_word_132_213", "transport-132,213,312"),
+    ("132,312,321", "_from_word_213_231", "transport-132,213,321"),
 ])
 def test_transport_check_catches_a_wrong_builder(monkeypatch, name, wrong, row):
     monkeypatch.setitem(bijections._BUILDERS, name, getattr(bijections, wrong))
-    rows = {r["check"]: r for r in suite_bijections(8)}
-    assert rows[row]["status"] == "fail"
-    assert rows[row]["failure"] == f"{name} builder at n=3"
-    assert all(r["status"] == "pass" for check, r in rows.items() if check != row)
+    _fails_only(row, f"{name} builder at n=3")
+
+
+@pytest.mark.parametrize("name, wrong, row, failure", [
+    ("from_dyck_prefix", lambda w: perm_from_word(_class("132,213"), w)[::-1],
+     "dyck-roundtrip", "roundtrip of (1, 2)"),
+    ("insert_132_321", lambda s: (1,) + tuple(v + 1 for v in s),
+     "insertion-maps", "132,321 image at n=2"),
+    ("behead_231_321", lambda p: tuple(v - 1 for v in reversed(p[1:])),
+     "insertion-maps", "231,321 inverse at n=2"),
+    ("generate_312_321", generate_fib, "generators", "312,321 generation at n=3"),
+    ("unique_members", lambda pset, n: [identity(n)], "unique-members", "123,132 at n=3"),
+    ("excluded_element_213_321", lambda n: tuple(range(n, 0, -1)),
+     "excluded-213-321", "213,321 excluded element at n=3"),
+], ids=["dyck", "insert", "behead", "generator", "unique", "excluded"])
+def test_each_bijection_row_catches_a_wrong_map(monkeypatch, name, wrong, row, failure):
+    # each wrong map returns permutations, so the row fails by assertion
+    monkeypatch.setattr(bijections, name, wrong)
+    _fails_only(row, failure)
 
 
 def test_wilf_transport_figure_pairing():
@@ -129,19 +151,6 @@ def test_dyck_prefix_goldens():
     assert from_dyck_prefix("") == (1,)
 
 
-def test_dyck_prefix_roundtrip_and_count():
-    pset = _class("132,213")
-    for n in range(1, 13):
-        listing = enumerate_pruned(n, pset)
-        assert len(listing) == comb(n - 1, (n - 1) // 2)
-        words = set()
-        for p in listing:
-            w = to_dyck_prefix(p)
-            words.add(w)
-            assert from_dyck_prefix(w) == p
-        assert len(words) == len(listing)
-
-
 def test_dyck_prefix_covers_all_nonnegative_words():
     def ballot_words(m):
         if m == 0:
@@ -175,14 +184,6 @@ def test_insertion_map_132_321():
     assert insert_132_321((1,)) == (1, 2)
     assert insert_132_321(()) == (1,)
     assert remove_132_321((1,)) == ()
-    pset = _class("132,321")
-    for n in range(0, 9):
-        avoiders = enumerate_oracle(n, pset, ballot=False)
-        image = [insert_132_321(s) for s in avoiders]
-        assert sorted(image) == enumerate_oracle(n + 1, pset)
-        assert len(image) == comb(n, 2) + 1
-        for s in avoiders:
-            assert remove_132_321(insert_132_321(s)) == s
     with pytest.raises(InvalidInputError):
         insert_132_321(parse_perm("132"))
     with pytest.raises(InvalidInputError):
@@ -192,14 +193,6 @@ def test_insertion_map_132_321():
 def test_insertion_map_231_321():
     assert prepend_231_321(parse_perm("213")) == parse_perm("1324")
     assert prepend_231_321(identity(4)) == identity(5)
-    pset = _class("231,321")
-    for n in range(0, 9):
-        avoiders = enumerate_oracle(n, pset, ballot=False)
-        image = [prepend_231_321(s) for s in avoiders]
-        assert sorted(image) == enumerate_oracle(n + 1, pset)
-        assert len(image) == (2 ** (n - 1) if n >= 1 else 1)
-        for s in avoiders:
-            assert behead_231_321(prepend_231_321(s)) == s
     with pytest.raises(InvalidInputError):
         prepend_231_321(parse_perm("231"))
     with pytest.raises(InvalidInputError):
@@ -211,11 +204,6 @@ def test_excluded_element():
     assert excluded_element_213_321(2) == (2, 1)
     with pytest.raises(InvalidInputError):
         excluded_element_213_321(1)
-    pset = _class("213,321")
-    for n in range(2, 8):
-        everyone = set(enumerate_oracle(n, pset, ballot=False))
-        ballots = set(enumerate_oracle(n, pset))
-        assert everyone - ballots == {excluded_element_213_321(n)}
 
 
 def test_generate_312_321():
@@ -249,12 +237,6 @@ def test_unique_members_constructions():
     assert unique_members(_class("123,132"), 4) == [parse_perm("3412")]
     assert unique_members(_class("132,231"), 5) == [identity(5)]
     assert len(unique_members(_class("123,213"), 5)) == 2
-    covered = ("123,132", "123,213", "132,231", "123,132,213",
-               "132,213,231", "132,231,312", "132,231,321")
-    for name in covered:
-        pset = _class(name)
-        for n in range(1, 9):
-            assert unique_members(pset, n) == enumerate_oracle(n, pset), (name, n)
     with pytest.raises(UnsupportedClassError):
         unique_members(_class("321"), 4)
 

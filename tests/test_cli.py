@@ -136,6 +136,27 @@ def test_biject_insertion_maps(capsys):
     assert code == 0 and out == "213\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--map", "transport", "--from", "132,213", "--to", "231,312", "--perm", "12", "--inverse"],
+    ["--map", "transport", "--from", "132,213", "--to", "231,312", "--perm", "12",
+     "--word", "U"],
+    ["--map", "dyck", "--perm", "12", "--word", "U"],
+    ["--map", "insert-132-321", "--perm", "312", "--word", "UD"],
+    ["--map", "prepend-231-321", "--inverse", "--perm", "1324", "--word", "UD"],
+    ["--map", "dyck", "--inverse", "--word", "U", "--perm", "12"],
+    ["--map", "dyck", "--perm", "12", "--from", "132,213"],
+    ["--map", "dyck", "--inverse", "--word", "U", "--to", "132,213"],
+    ["--map", "insert-132-321", "--perm", "312", "--to", "132,321"],
+    ["--map", "prepend-231-321", "--perm", "213", "--from", "231,321"],
+], ids=["transport-inverse", "transport-word", "dyck-word", "insert-word",
+        "prepend-inverse-word", "dyck-inverse-perm", "dyck-from", "dyck-inverse-to",
+        "insert-to", "prepend-from"])
+def test_biject_rejects_flags_the_map_does_not_take(capsys, argv):
+    code, out, err = run(capsys, "biject", *argv)
+    assert (code, out) == (2, "")
+    assert "does not take" in err
+
+
 def test_biject_non_membership_names_witness(capsys):
     code, out, err = run(capsys, "biject", "--map", "dyck", "--perm", "132")
     assert code == 1
@@ -321,6 +342,29 @@ def test_verify_trivial_n1(capsys):
     payload = parse_json_output(out)
     assert payload["pass"] is True
     assert all(row["pruned"] == [1] for row in payload["rows"])
+
+
+def test_excluded_row_checks_length_1(monkeypatch):
+    # an oracle that loses the ballot avoider of length 1 leaves it excluded
+    real = verification.enumerate_oracle
+    monkeypatch.setattr(verification, "enumerate_oracle",
+                        lambda n, pset, ballot=True, max_n=None:
+                        [] if ballot and n == 1 else real(n, pset, ballot=ballot, max_n=max_n))
+    for caps in (Caps(), Caps(oracle=1)):
+        rows = {r["check"]: r for r in verification.run_suite("bijections", 1, caps)["rows"]}
+        assert rows["excluded-213-321"].get("failure") == "213,321 excluded element at n=1"
+
+
+def test_recurrence_row_checks_its_seed_terms(monkeypatch):
+    # a rule that disagrees with a seed term fails even where nothing is iterated
+    for name, n, label in (("231,312,321", 2, "fib"), ("312,321", 3, "2x")):
+        spec = formulas.REGISTRY[name]
+        monkeypatch.setitem(formulas.REGISTRY, name, dataclasses.replace(
+            spec, evaluator=lambda m, spec=spec, n=n: spec.evaluator(m) + (m == n)))
+        for n_max in (1, 2):
+            rows = {r.get("check"): r for r in verification.run_suite("formulas", n_max)["rows"]}
+            assert rows["recurrence-consistency"].get("failure") == f"{label} at n={n}"
+        monkeypatch.undo()
 
 
 def test_json_outputs_carry_schema(capsys):

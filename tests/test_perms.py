@@ -122,7 +122,6 @@ def test_parse_and_format_roundtrip():
     long = tuple(range(1, 15)) + ()
     assert parse_perm(format_perm(long)) == long
     assert format_perm((4, 5, 6, 3, 1, 2)) == "456312"
-    assert format_perm((4, 5, 6, 3, 1, 2), style="csv") == "4,5,6,3,1,2"
 
 
 def test_format_rows_matches_format_perm():
