@@ -204,10 +204,13 @@ def pruned_levels(n, mask, ballot_req, rest=()):
     height = np.zeros(roots, dtype=np.intp)
     yield rows
     for k in range(1, n):
-        sites = np.arange(k + 1)
-        open_ = (blocked[:, None] >> sites.astype(bits) & 1) == 0
-        if ballot_req:
-            open_ &= (last[:, None] <= sites) | (height[:, None] > 0)
+        # one site at a time, so that no (rows, sites) temporary is made
+        open_ = np.empty((len(last), k + 1), dtype=bool)
+        up = height > 0
+        for site in range(k + 1):
+            np.equal(blocked >> site & 1, 0, out=open_[:, site])
+            if ballot_req:
+                open_[:, site] &= (last <= site) | up
         size = np.count_nonzero(open_)
         if size > MAX_ROWS:
             raise CapExceededError(
@@ -235,15 +238,12 @@ def pruned_levels(n, mask, ballot_req, rest=()):
         last = s + 1
 
 
-def pruned_fill(n, mask, ballot_req, first, rest=()):
+def pruned_fill(n, mask, ballot_req, rest=()):
     """Members of the class at length n as an (m, n) array, lex order: the
-    last level of ``pruned_levels``, sorted.  ``first`` > 0 keeps the rows
-    whose position 0 holds that value."""
+    last level of ``pruned_levels``, sorted."""
     rows = np.empty((0, n), dtype=np.min_scalar_type(n))  # n < 1 has no level
     for rows in pruned_levels(n, mask, ballot_req, rest):
         pass
-    if first > 0:
-        rows = rows[rows[:, 0] == first]
     return rows[np.lexsort(rows.T[::-1])]
 
 

@@ -2,14 +2,14 @@
 
 Results go to stdout; progress and error messages go to stderr.  Exit codes
 are stable: 0 success, 1 verification or membership mismatch, 2 usage or
-parse error.  Configuration precedence is flags, then BALLOTKIT_* environment
-variables, then built-in defaults.
+parse error.  The two length caps are set by flags alone, ``--oracle-max-n``
+and ``--pruned-max-n``, whose defaults are those of ``enumeration.Caps``;
+the library applies them.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import bijections, formulas, verification
@@ -22,7 +22,6 @@ from .enumeration import (
 from .errors import (
     BallotkitError,
     CapExceededError,
-    ConfigError,
     InvalidInputError,
 )
 from .patterns import format_pattern_set, parse_pattern_set
@@ -97,37 +96,18 @@ def parse_json_output(text: str) -> dict:
     return payload
 
 
-def _resolve_caps(args: argparse.Namespace) -> Caps:
-    """Both caps, each from its flag, else its BALLOTKIT_* variable, else the
-    default.  Read once per command, before any work starts."""
-    caps = {}
-    for method in ("oracle", "pruned"):
-        value = getattr(args, f"{method}_max_n")
-        env = f"BALLOTKIT_{method.upper()}_MAX_N"
-        raw = os.environ.get(env, "").strip()
-        if value is None and raw:
-            try:
-                value = _int_from(1)(raw)
-            except argparse.ArgumentTypeError as exc:
-                raise ConfigError(f"{env}: {exc}") from None
-        if value is not None:
-            caps[method] = value
-    return Caps(**caps)
-
-
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--oracle-max-n", type=_int_from(1), default=None,
-                     help="override the oracle enumeration cap (default 10)")
-    sub.add_argument("--pruned-max-n", type=_int_from(1), default=None,
-                     help="override the pruned enumeration cap (default 16)")
+    for method in ("oracle", "pruned"):
+        sub.add_argument(f"--{method}-max-n", type=_int_from(1), default=getattr(Caps, method),
+                         help=f"refuse {method} enumeration and counting above this length "
+                              "(default %(default)s)")
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    caps = _resolve_caps(args)
     pset = _parsed(parse_pattern_set, args.patterns)
     ballot = not args.no_ballot
-    max_n = caps.oracle if args.method == "oracle" else caps.pruned
-    rows = enumerate_rows(args.n, pset, ballot=ballot, method=args.method, max_n=max_n)
+    rows = enumerate_rows(args.n, pset, ballot=ballot, method=args.method,
+                          caps=Caps(args.oracle_max_n, args.pruned_max_n))
     text = format_rows(rows)
     if args.format == "json":
         _emit_json({
@@ -145,7 +125,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    caps = _resolve_caps(args)
+    caps = Caps(args.oracle_max_n, args.pruned_max_n)
     pset = _parsed(parse_pattern_set, args.patterns)
     name = format_pattern_set(pset)
     ballot = not args.no_ballot
@@ -173,8 +153,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                              "the registered rule corrects it\n")
         record = SequenceRecord(pset, tuple(row["pruned"]), "pruned")
     else:
-        max_n = caps.oracle if args.method == "oracle" else caps.pruned
-        record = count_sequence(pset, args.n_max, args.method, ballot=ballot, max_n=max_n)
+        record = count_sequence(pset, args.n_max, args.method, ballot=ballot, caps=caps)
     if args.format == "json":
         _emit_json({
             "command": "count",
@@ -253,7 +232,8 @@ def _cmd_biject(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verification.run_suite(args.suite, args.n_max, _resolve_caps(args))
+    report = verification.run_suite(args.suite, args.n_max,
+                                     Caps(args.oracle_max_n, args.pruned_max_n))
     _emit_json(report)
     corrected = sum(1 for row in report["rows"] if row["status"] == "corrected")
     note = f" ({corrected} corrected row{'s' if corrected != 1 else ''})" if corrected else ""
@@ -323,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (_UsageError, BallotkitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc, InvalidInputError) and not isinstance(exc, ConfigError):
+        if isinstance(exc, InvalidInputError):
             return EXIT_MISMATCH
         return EXIT_USAGE
 

@@ -36,10 +36,9 @@ listing, by ``_kernels.MAX_ROWS`` children per length.  The oracle lists
 and counts those sets by filtering every permutation through
 ``avoids_all``.
 
-Each function takes its length cap as ``max_n``; None means the default.
-``Caps`` holds both caps for callers that pass them down, such as
-``verification``, and rejects a cap below 1 with ``ConfigError``.  Nothing
-here reads the environment; the CLI resolves the caps once per command.
+``Caps`` holds both length caps and applies them: each function takes one
+as ``caps`` and refuses n past the cap of the method it runs.  Nothing here
+reads the environment; the CLI builds the ``Caps`` from its flags.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ from itertools import permutations as _all_perms
 import numpy as np
 
 from . import _kernels
-from .errors import CapExceededError, ConfigError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError
 from .patterns import (
     LENGTH3_PATTERNS,
     PatternSet,
@@ -59,35 +58,29 @@ from .patterns import (
 )
 from .perms import Perm, is_ballot
 
-ORACLE_MAX_N_DEFAULT = 10
-PRUNED_MAX_N_DEFAULT = 16
-
 
 @dataclass(frozen=True)
 class Caps:
-    """The oracle's and the pruned paths' length caps, each at least 1."""
+    """The longest length the oracle and the pruned paths accept, each at
+    least 1."""
 
-    oracle: int = ORACLE_MAX_N_DEFAULT
-    pruned: int = PRUNED_MAX_N_DEFAULT
+    oracle: int = 10
+    pruned: int = 16
 
     def __post_init__(self) -> None:
         for name, cap in (("oracle", self.oracle), ("pruned", self.pruned)):
             if cap < 1:
-                raise ConfigError(f"the {name} cap must be at least 1, got {cap}")
+                raise InvalidInputError(f"the {name} cap must be at least 1, got {cap}")
 
-
-def _check_cap(n: int, cap: int | None, what: str) -> None:
-    """Refuse length ``n`` past ``cap``.  ``what`` starts with the method,
-    "oracle" or "pruned": its default cap applies when ``cap`` is None, and
-    the error names its flag."""
-    method = what.split()[0]
-    if cap is None:
-        cap = getattr(Caps(), method)
-    if n > cap:
-        raise CapExceededError(
-            f"{what} at n={n} exceeds the cap of {cap}; "
-            f"raise --{method}-max-n or max_n to allow it"
-        )
+    def check(self, method: str, n: int, what: str) -> None:
+        """Refuse length ``n`` past the cap of ``method``, "oracle" or
+        "pruned"; the error names that method's flag."""
+        cap = getattr(self, method)
+        if n > cap:
+            raise CapExceededError(
+                f"{method} {what} at n={n} exceeds the cap of {cap}; "
+                f"raise --{method}-max-n to allow it"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,7 +121,7 @@ def _census_count(n: int, mask: int, ballot: bool) -> int:
 def _partition_firsts(n: int, mask: int, ballot: bool, rest: PatternSet):
     """The pruned listing as an (m, n) array, in one kernel call.  A function
     of its own because ``perfbench/tracer.py`` times it by this name."""
-    return _kernels.pruned_fill(n, mask, ballot, 0, rest)
+    return _kernels.pruned_fill(n, mask, ballot, rest)
 
 
 def enumerate_rows(
@@ -137,16 +130,16 @@ def enumerate_rows(
     *,
     ballot: bool = True,
     method: str = "pruned",
-    max_n: int | None = None,
+    caps: Caps = Caps(),
 ) -> np.ndarray:
     """Every avoider of length ``n`` as the rows of an (m, n) array, lex order.
 
     ``method`` is "oracle" (exhaustive filtering) or "pruned"; each refuses n
-    above its cap, which ``max_n`` overrides.  Length 0 gives one empty row.
+    above its cap in ``caps``.  Length 0 gives one empty row.
     """
     if method not in ("oracle", "pruned"):
         raise InvalidInputError(f"unknown enumeration method: {method!r}")
-    _check_cap(n, max_n, f"{method} enumeration")
+    caps.check(method, n, "enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
@@ -170,14 +163,14 @@ def enumerate_oracle(
     patterns: PatternSet = (),
     *,
     ballot: bool = True,
-    max_n: int | None = None,
+    caps: Caps = Caps(),
 ) -> list[Perm]:
     """Every avoider of length ``n`` by exhaustive filtering, lex order.
 
-    Refuses n above the oracle cap; pass ``max_n`` to override it.
+    Refuses n above the oracle cap of ``caps``.
     """
     return _rows_to_perms(enumerate_rows(n, patterns, ballot=ballot, method="oracle",
-                                         max_n=max_n))
+                                         caps=caps))
 
 
 def enumerate_pruned(
@@ -185,13 +178,13 @@ def enumerate_pruned(
     patterns: PatternSet = (),
     *,
     ballot: bool = True,
-    max_n: int | None = None,
+    caps: Caps = Caps(),
 ) -> list[Perm]:
     """Every avoider of length ``n`` by pruned search, lex order.
 
     Matches ``enumerate_oracle`` element for element wherever both run.
     """
-    return _rows_to_perms(enumerate_rows(n, patterns, ballot=ballot, max_n=max_n))
+    return _rows_to_perms(enumerate_rows(n, patterns, ballot=ballot, caps=caps))
 
 
 def count_pruned(
@@ -199,14 +192,14 @@ def count_pruned(
     patterns: PatternSet = (),
     *,
     ballot: bool = True,
-    max_n: int | None = None,
+    caps: Caps = Caps(),
 ) -> int:
     """|avoiders of length n| without materializing them."""
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
         return 1
-    return count_sequence(patterns, n, ballot=ballot, max_n=max_n).counts[-1]
+    return count_sequence(patterns, n, ballot=ballot, caps=caps).counts[-1]
 
 
 def count_sequence(
@@ -215,28 +208,25 @@ def count_sequence(
     method: str = "pruned",
     *,
     ballot: bool = True,
-    max_n: int | None = None,
+    caps: Caps = Caps(),
 ) -> SequenceRecord:
     """Counts for n = 1..n_max with the stated provenance."""
     if n_max < 1:
         raise InvalidInputError("n_max must be at least 1")
+    if method not in ("oracle", "pruned"):
+        raise InvalidInputError(f"unknown counting method: {method!r}")
+    caps.check(method, n_max, "counting")
     pset = canonical_pattern_set(patterns)
     mask, rest = _split(pset)
-    if method == "oracle":
-        _check_cap(n_max, max_n, "oracle counting")
-        if rest:
-            counts = tuple(
-                len(enumerate_oracle(n, pset, ballot=ballot, max_n=max_n))
-                for n in range(1, n_max + 1)
-            )
-        else:
-            counts = tuple(_census_count(n, mask, ballot) for n in range(1, n_max + 1))
-    elif method == "pruned":
-        _check_cap(n_max, max_n, "pruned counting")
-        if rest:
-            counts = tuple(map(len, _kernels.pruned_levels(n_max, mask, ballot, rest)))
-        else:
-            counts = tuple(_kernels.pruned_count(n_max, mask, ballot))
+    if method == "oracle" and rest:
+        counts = tuple(
+            len(enumerate_oracle(n, pset, ballot=ballot, caps=caps))
+            for n in range(1, n_max + 1)
+        )
+    elif method == "oracle":
+        counts = tuple(_census_count(n, mask, ballot) for n in range(1, n_max + 1))
+    elif rest:
+        counts = tuple(map(len, _kernels.pruned_levels(n_max, mask, ballot, rest)))
     else:
-        raise InvalidInputError(f"unknown counting method: {method!r}")
+        counts = tuple(_kernels.pruned_count(n_max, mask, ballot))
     return SequenceRecord(patterns=pset, counts=counts, provenance=method)

@@ -6,12 +6,8 @@ class BallotkitError(Exception):
 
 
 class InvalidInputError(BallotkitError, ValueError):
-    """An argument violates a documented precondition (bad word, non-member, ...)."""
-
-
-class ConfigError(InvalidInputError):
-    """A cap is below 1, or a ``BALLOTKIT_*`` value the CLI reads is
-    malformed; the CLI reports it as a usage error."""
+    """An argument violates a documented precondition (bad word, non-member,
+    a cap below 1, ...)."""
 
 
 class UnsupportedClassError(BallotkitError, ValueError):
@@ -23,4 +19,5 @@ class UnrealizableWordError(InvalidInputError):
 
 
 class CapExceededError(BallotkitError, RuntimeError):
-    """An enumeration request exceeds the configured size cap."""
+    """A request passes a length cap of ``enumeration.Caps`` or the row bound
+    of the listing and counting kernels."""

@@ -9,7 +9,6 @@ pair of available sources agrees exactly over the range both cover.
 from __future__ import annotations
 
 import time
-from functools import partial
 from math import comb
 
 from . import bijections, formulas
@@ -55,11 +54,11 @@ def check_class(
     started = time.perf_counter()
     pset = canonical_pattern_set(pset)
     name = format_pattern_set(pset)
-    pruned = list(count_sequence(pset, n_max, max_n=caps.pruned).counts)
+    pruned = list(count_sequence(pset, n_max, caps=caps).counts)
     oracle = None
     if with_oracle:
         top = min(n_max, caps.oracle)
-        oracle = list(count_sequence(pset, top, "oracle", max_n=caps.oracle).counts)
+        oracle = list(count_sequence(pset, top, "oracle", caps=caps).counts)
     spec = formulas.get_spec(pset)
     formula = None
     if spec is not None and spec.evaluator is not None:
@@ -137,18 +136,16 @@ def suite_formulas(n_max: int = 12, caps: Caps = Caps()) -> list[dict]:
 def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
     rows = []
     oracle_top = min(n_max, caps.oracle)
-    oracle = partial(enumerate_oracle, max_n=caps.oracle)
-    pruned = partial(enumerate_pruned, max_n=caps.pruned)
 
     def members(pset: PatternSet, n: int, ballot: bool = True):
         if n <= oracle_top:
-            return oracle(n, pset, ballot=ballot)
-        return pruned(n, pset, ballot=ballot)
+            return enumerate_oracle(n, pset, ballot=ballot, caps=caps)
+        return enumerate_pruned(n, pset, ballot=ballot, caps=caps)
 
     def dyck_roundtrip():
         pset = parse_pattern_set("132,213")
         for n in range(1, n_max + 1):
-            listing = pruned(n, pset)
+            listing = enumerate_pruned(n, pset, caps=caps)
             assert len(listing) == comb(n - 1, (n - 1) // 2), f"count at n={n}"
             words = set()
             for p in listing:
@@ -205,7 +202,8 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         # the one avoider of length 1 is ballot, so none is excluded there
         pset = parse_pattern_set("213,321")
         for n in range(1, oracle_top + 1):
-            excluded = set(oracle(n, pset, ballot=False)) - set(oracle(n, pset))
+            excluded = (set(enumerate_oracle(n, pset, ballot=False, caps=caps))
+                        - set(enumerate_oracle(n, pset, caps=caps)))
             expected = {bijections.excluded_element_213_321(n)} if n > 1 else set()
             assert excluded == expected, f"213,321 excluded element at n={n}"
         return f"checked to n={oracle_top}"
@@ -219,8 +217,8 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         ):
             pset = parse_pattern_set(name)
             for n in range(1, n_max + 1):
-                built = sorted(generate(n))
-                assert built == pruned(n, pset), f"{name} generation at n={n}"
+                listing = enumerate_pruned(n, pset, caps=caps)
+                assert sorted(generate(n)) == listing, f"{name} generation at n={n}"
         return f"generators matched to n={n_max}"
 
     rows.append(_named_check("generators", generators))

@@ -19,7 +19,7 @@ from math import comb
 import pytest
 
 from ballotkit.bijections import DESCENT_WORD_FAMILIES, from_dyck_prefix, to_dyck_prefix
-from ballotkit.enumeration import count_pruned, enumerate_oracle, enumerate_pruned
+from ballotkit.enumeration import Caps, count_pruned, enumerate_oracle, enumerate_pruned
 from ballotkit.formulas import (
     formula_count,
     get_spec,
@@ -120,7 +120,7 @@ def test_acceptance_3_formula_agreement():
     history = [1, 1]
     for n in range(3, 21):
         history.append(recurrence_step(fib, history))
-        assert history[-1] == count_pruned(n, fib, max_n=20), n
+        assert history[-1] == count_pruned(n, fib, caps=Caps(pruned=20)), n
     assert history[-1] == 6765
     _verdict(3, "formulas equal pruned counts to n = 12; fibonacci class exact to "
                 "n = 20 (a_20 = 6765)")

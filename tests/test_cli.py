@@ -203,7 +203,7 @@ def run_exit(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_out_of_range_sizes_and_caps_exit_2(capsys, monkeypatch):
+def test_out_of_range_sizes_and_caps_exit_2(capsys):
     for argv in (
         ["enumerate", "--n", "-1"],
         ["count", "--n-max", "0"],
@@ -214,22 +214,6 @@ def test_out_of_range_sizes_and_caps_exit_2(capsys, monkeypatch):
         code, out, err = run_exit(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "at least" in err
-    for value, message in (("abc", "integer"), ("0", "at least 1")):
-        monkeypatch.setenv("BALLOTKIT_PRUNED_MAX_N", value)
-        code, out, err = run_exit(capsys, "enumerate", "--patterns", "321", "--n", "3")
-        assert (code, out) == (2, "")
-        assert "BALLOTKIT_PRUNED_MAX_N" in err and message in err
-    monkeypatch.delenv("BALLOTKIT_PRUNED_MAX_N")
-    monkeypatch.setenv("BALLOTKIT_ORACLE_MAX_N", "0")
-    code, out, err = run_exit(capsys, "verify", "--suite", "tables", "--n-max", "4")
-    assert (code, out) == (2, "")
-    assert "BALLOTKIT_ORACLE_MAX_N" in err
-    # both caps are resolved up front, so a malformed unused one is an error too
-    monkeypatch.setenv("BALLOTKIT_ORACLE_MAX_N", "abc")
-    code, out, err = run_exit(capsys, "enumerate", "--patterns", "321", "--n", "3",
-                              "--method", "pruned")
-    assert (code, out) == (2, "")
-    assert "BALLOTKIT_ORACLE_MAX_N" in err and "integer" in err
 
 
 def test_enumerate_past_the_row_bound_exits_2(capsys):
@@ -348,8 +332,8 @@ def test_excluded_row_checks_length_1(monkeypatch):
     # an oracle that loses the ballot avoider of length 1 leaves it excluded
     real = verification.enumerate_oracle
     monkeypatch.setattr(verification, "enumerate_oracle",
-                        lambda n, pset, ballot=True, max_n=None:
-                        [] if ballot and n == 1 else real(n, pset, ballot=ballot, max_n=max_n))
+                        lambda n, pset, ballot=True, caps=Caps():
+                        [] if ballot and n == 1 else real(n, pset, ballot=ballot, caps=caps))
     for caps in (Caps(), Caps(oracle=1)):
         rows = {r["check"]: r for r in verification.run_suite("bijections", 1, caps)["rows"]}
         assert rows["excluded-213-321"].get("failure") == "213,321 excluded element at n=1"

@@ -22,7 +22,7 @@ from ballotkit.enumeration import (
     enumerate_pruned,
     enumerate_rows,
 )
-from ballotkit.errors import CapExceededError, ConfigError, InvalidInputError
+from ballotkit.errors import CapExceededError, InvalidInputError
 from ballotkit.patterns import (
     ALL_CLASSES,
     LENGTH3_PATTERNS,
@@ -87,8 +87,8 @@ def test_generic_paths_match_kernels():
         pats = tuple(_forbidden(mask))
         for ballot in (True, False):
             for n in range(1, 8):
-                expected = _kernels.pruned_fill(n, mask, ballot, 0)
-                rows = _kernels.pruned_fill(n, 0, ballot, 0, pats)
+                expected = _kernels.pruned_fill(n, mask, ballot)
+                rows = _kernels.pruned_fill(n, 0, ballot, pats)
                 assert rows.dtype == expected.dtype, (mask, ballot, n)
                 assert np.array_equal(rows, expected), (mask, ballot, n)
                 assert len(rows) == count_pruned(n, pats, ballot=ballot), (mask, ballot, n)
@@ -153,10 +153,8 @@ def members():
 
 def test_pruned_rows_match_naive_all_masks(members):
     for (mask, ballot, n), expected in members.items():
-        rows = _kernels.pruned_fill(n, mask, ballot, 0).tolist()
+        rows = _kernels.pruned_fill(n, mask, ballot).tolist()
         assert [tuple(r) for r in rows] == expected, (mask, ballot, n)
-        by_first = [_kernels.pruned_fill(n, mask, ballot, v).tolist() for v in range(1, n + 1)]
-        assert [tuple(r) for chunk in by_first for r in chunk] == expected, (mask, ballot, n)
 
 
 def _strictly_lex_increasing(rows):
@@ -172,7 +170,7 @@ def test_pruned_rows_match_counter_past_the_brute_force_range():
             for n in range(8, 13):
                 if counts[n - 1] > 200_000:
                     continue
-                rows = _kernels.pruned_fill(n, mask, ballot, 0)
+                rows = _kernels.pruned_fill(n, mask, ballot)
                 assert rows.shape == (counts[n - 1], n), (mask, ballot, n)
                 assert _strictly_lex_increasing(rows), (mask, ballot, n)
 
@@ -180,7 +178,7 @@ def test_pruned_rows_match_counter_past_the_brute_force_range():
 def test_pruned_rows_past_64_sites():
     # sites no longer fit 64 bits, so the blocked sites are Python ints
     pset = parse_pattern_set("123,132")
-    rows = _kernels.pruned_fill(100, _split(pset)[0], True, 0)
+    rows = _kernels.pruned_fill(100, _split(pset)[0], True)
     assert rows.shape == (1, 100) and rows.dtype == np.uint8
     member = tuple(rows[0].tolist())
     assert sorted(member) == list(range(1, 101))
@@ -189,9 +187,22 @@ def test_pruned_rows_past_64_sites():
 
 def test_pruned_rows_bound(monkeypatch):
     monkeypatch.setattr(_kernels, "MAX_ROWS", 100)
-    assert len(_kernels.pruned_fill(6, 32, True, 0)) == 90
+    assert len(_kernels.pruned_fill(6, 32, True)) == 90
     with pytest.raises(CapExceededError, match=r"ballot \{321\} at n=7 needs 297 rows"):
-        _kernels.pruned_fill(7, 32, True, 0)
+        _kernels.pruned_fill(7, 32, True)
+
+
+def test_refused_listing_memory_is_bounded():
+    # the open sites of each length are found one site at a time, so a
+    # refusal at length 11 makes no (rows, sites) integer temporaries
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match="9,823,275 rows at length 11"):
+            _kernels.pruned_fill(11, 0, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def test_enumerate_rows_shapes():
@@ -352,27 +363,44 @@ def test_oracle_cap():
     with pytest.raises(CapExceededError):
         enumerate_oracle(11, parse_pattern_set("321"))
     with pytest.raises(CapExceededError):
-        enumerate_oracle(6, parse_pattern_set("321"), max_n=5)
-    raised_cap = enumerate_oracle(6, parse_pattern_set("321"), max_n=6)
+        enumerate_oracle(6, parse_pattern_set("321"), caps=Caps(oracle=5))
+    raised_cap = enumerate_oracle(6, parse_pattern_set("321"), caps=Caps(oracle=6))
     assert len(raised_cap) == 90
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidInputError):
         Caps(oracle=0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidInputError):
         Caps(pruned=-1)
 
 
+def test_caps_apply_the_cap_of_the_method_run():
+    pset = parse_pattern_set("321")
+    caps = Caps(oracle=3)
+    with pytest.raises(CapExceededError, match="--oracle-max-n"):
+        count_sequence(pset, 4, "oracle", caps=caps)
+    assert count_sequence(pset, 12, caps=caps).counts == count_sequence(pset, 12).counts
+
+
 def test_pruned_cap_and_env(monkeypatch, capsys):
-    # the library reads no environment variable; the CLI passes the cap down
-    with pytest.raises(CapExceededError):
+    # only the flag sets a cap: neither the library nor the CLI reads the
+    # environment, so variables that once set the caps change nothing
+    with pytest.raises(CapExceededError, match="--pruned-max-n"):
         enumerate_pruned(17, parse_pattern_set("123,132"))
-    monkeypatch.setenv("BALLOTKIT_PRUNED_MAX_N", "18")
-    with pytest.raises(CapExceededError):
-        enumerate_pruned(17, parse_pattern_set("123,132"))
-    assert main(["enumerate", "--patterns", "123,132", "--n", "18"]) == 0
+    assert main(["enumerate", "--patterns", "123,132", "--n", "18",
+                 "--pruned-max-n", "18"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1
+    commands = (["enumerate", "--patterns", "321", "--n", "3"],
+                ["count", "--patterns", "321", "--n-max", "5", "--method", "oracle"])
+    expected = []
+    for argv in commands:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
     monkeypatch.setenv("BALLOTKIT_PRUNED_MAX_N", "zzz")
-    assert main(["enumerate", "--patterns", "123,132", "--n", "3"]) == 2
-    assert "BALLOTKIT_PRUNED_MAX_N" in capsys.readouterr().err
+    monkeypatch.setenv("BALLOTKIT_ORACLE_MAX_N", "0")
+    with pytest.raises(CapExceededError):
+        enumerate_pruned(17, parse_pattern_set("123,132"))
+    for argv, out in zip(commands, expected):
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out == out, argv
 
 
 def test_count_sequence_records():

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from ballotkit.enumeration import count_sequence, enumerate_oracle
+from ballotkit.enumeration import Caps, count_sequence, enumerate_oracle
 from ballotkit.errors import CapExceededError, InvalidInputError, UnsupportedClassError
 from ballotkit.formulas import (
     REGISTRY,
@@ -169,7 +169,7 @@ def test_rules_match_counter_far_out():
         if spec.evaluator is None:
             continue
         top = 20 if spec.class_name == "132" else 40
-        counts = count_sequence(pset, top, max_n=top).counts
+        counts = count_sequence(pset, top, caps=Caps(pruned=top)).counts
         assert counts == tuple(spec.evaluator(n) for n in range(1, top + 1)), spec.class_name
     with pytest.raises(CapExceededError):
-        count_sequence(parse_pattern_set("132"), 21, max_n=21)
+        count_sequence(parse_pattern_set("132"), 21, caps=Caps(pruned=21))
