@@ -9,8 +9,9 @@ transfer-state counting of four classes, pruned listing of the classes the
 ``enumerate`` workload of the benchmark lists, of the single ballot
 {123,132} avoider of length 100 (whose blocked sites outgrow 64 bits) and
 of two sets with patterns of length 4 (dropped by the completion test), the
-refused listing of every ballot permutation of length 11 (timed until the
-row bound stops it, which is the cost of a refusal), the
+refused listing of every ballot permutation of length 11, both by the walk
+(timed until the row bound stops it) and by ``check_rows``, which refuses
+it from the class counts before any row is built, as ``enumerate`` does, the
 vectorized oracle listing one class from every permutation of length 9 and
 10, the oracle listing all 64 classes of length 8, ballot and plain, from
 one shared classification, the oracle census of length 8, and the
@@ -28,7 +29,13 @@ import statistics
 import time
 
 from ballotkit import _kernels
-from ballotkit._kernels import oracle_census, oracle_fill, pruned_count, pruned_fill
+from ballotkit._kernels import (
+    check_rows,
+    oracle_census,
+    oracle_fill,
+    pruned_count,
+    pruned_fill,
+)
 from ballotkit.enumeration import _split
 from ballotkit.errors import CapExceededError
 from ballotkit.patterns import parse_pattern_set
@@ -48,6 +55,7 @@ CASES = [
     ("pruned_fill {1234} plain n=10", "fill", "1234", 10, False),
     ("pruned_fill {3142,2413} n=9", "fill", "2413,3142", 9, True),
     ("pruned_fill {} n=11 (refused)", "refused", "", 11, True),
+    ("check_rows {} n=11 (refused)", "check", "", 11, True),
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9, True),
     ("oracle_fill {132,213} n=10", "oracle", "132,213", 10, True),
     ("oracle_fill every class n=8", "every", "", 8, True),
@@ -62,18 +70,22 @@ def _every_class(n):
     return [oracle_fill(n, mask, ballot, 0) for mask in range(64) for ballot in (True, False)]
 
 
-def _refused(n, mask, ballot, rest):
-    """The listing kernel, run until it refuses the request."""
-    try:
-        pruned_fill(n, mask, ballot, rest)
-    except CapExceededError:
-        return "refused"
-    raise AssertionError(f"pruned_fill at n={n} was not refused")
+def _refusal(kernel):
+    """``kernel``, run until it refuses the request."""
+
+    def refused(*args):
+        try:
+            kernel(*args)
+        except CapExceededError:
+            return "refused"
+        raise AssertionError(f"{kernel.__name__}{args} was not refused")
+
+    return refused
 
 
 # the census is memoized per length; time the computation behind the cache
-KERNELS = {"count": pruned_count, "fill": pruned_fill, "refused": _refused,
-           "oracle": oracle_fill,
+KERNELS = {"count": pruned_count, "fill": pruned_fill, "refused": _refusal(pruned_fill),
+           "check": _refusal(check_rows), "oracle": oracle_fill,
            "every": _every_class, "census": oracle_census.__wrapped__,
            "bijections": suite_bijections}
 
@@ -81,7 +93,7 @@ KERNELS = {"count": pruned_count, "fill": pruned_fill, "refused": _refused,
 def _run(kind, pset, n, ballot):
     fn = KERNELS[kind]
     mask, rest = _split(pset)
-    if kind == "count":
+    if kind in ("count", "check"):
         return fn(n, mask, ballot)
     if kind in ("every", "census", "bijections"):
         return fn(n)
@@ -108,7 +120,7 @@ def _time(kind, pset, n, ballot, repeat):
         size = sum(map(len, result))
     elif kind == "bijections":
         size = sum(row["status"] == "pass" for row in result)
-    elif kind == "refused":
+    elif kind in ("refused", "check"):
         size = result
     else:
         size = len(result)

@@ -27,9 +27,14 @@ numpy.
   without a completion.  Patterns not of length 3 are tested on the
   children: one whose new last entry completes an occurrence is dropped.
   At most ``MAX_ROWS`` children are built per length; past that it raises
-  ``CapExceededError``.  ``pruned_fill`` keeps the last length, and one
-  lexsort gives it lexicographic order.  Which sites the entries block is
-  stated once, in ``_blocked_by``, for the counter and the walk.
+  ``CapExceededError``.  The open sites of a length are found a chunk of
+  sites at a time, with (rows, sites) temporaries of at most ``_OPEN_BYTES``.
+  ``pruned_fill`` keeps the last length, and one lexsort gives it
+  lexicographic order.  Which sites the entries block is stated once, in
+  ``_blocked_by``, for the counter and the walk.  For length-3 patterns
+  alone the walk's level sizes are the class counts, so ``check_rows``
+  refuses a listing past ``MAX_ROWS`` from one ``pruned_count``, before any
+  row is built.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -66,12 +71,23 @@ from .patterns import LENGTH3_PATTERNS, format_pattern_set
 MAX_STATES = 100_000
 #: Most children ``pruned_fill`` builds at one length.
 MAX_ROWS = 4_000_000
+#: Bytes of the (rows, sites) integer temporaries that ``pruned_levels``
+#: makes at a time when it finds the open sites of a length.
+_OPEN_BYTES = 1 << 16
 
 
 def _class_label(mask, ballot_req, rest=()):
     """The class of a kernel call as cap errors name it, e.g. "ballot {132}"."""
     pset = tuple(q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1) + tuple(rest)
     return f"{'ballot' if ballot_req else 'plain'} {{{format_pattern_set(pset)}}}"
+
+
+def _too_many_rows(n, mask, ballot_req, rest, size, length):
+    """The error of a listing to n that needs ``size`` rows, more than
+    ``MAX_ROWS``, at ``length``."""
+    return CapExceededError(
+        f"{_class_label(mask, ballot_req, rest)} at n={n} needs {size:,} rows "
+        f"at length {length}, more than {MAX_ROWS:,}; lower n")
 
 
 def _sites(lo, hi):
@@ -204,18 +220,20 @@ def pruned_levels(n, mask, ballot_req, rest=()):
     height = np.zeros(roots, dtype=np.intp)
     yield rows
     for k in range(1, n):
-        # one site at a time, so that no (rows, sites) temporary is made
+        # a chunk of sites at a time, so that the (rows, sites) temporaries
+        # stay within _OPEN_BYTES and a level of few rows takes few steps
         open_ = np.empty((len(last), k + 1), dtype=bool)
-        up = height > 0
-        for site in range(k + 1):
-            np.equal(blocked >> site & 1, 0, out=open_[:, site])
+        up = (height > 0)[:, None]
+        step = max(1, _OPEN_BYTES // (8 * max(1, len(last))))
+        for lo in range(0, k + 1, step):
+            hi = min(lo + step, k + 1)
+            sites = np.arange(lo, hi)
+            np.equal(blocked[:, None] >> sites.astype(bits) & 1, 0, out=open_[:, lo:hi])
             if ballot_req:
-                open_[:, site] &= (last <= site) | up
+                open_[:, lo:hi] &= (last[:, None] <= sites) | up
         size = np.count_nonzero(open_)
         if size > MAX_ROWS:
-            raise CapExceededError(
-                f"{_class_label(mask, ballot_req, rest)} at n={n} needs {size:,} rows "
-                f"at length {k + 1}, more than {MAX_ROWS:,}; lower n")
+            raise _too_many_rows(n, mask, ballot_req, rest, size, k + 1)
         parent, s = np.nonzero(open_)
         prev = rows[parent]
         rows = np.empty((size, k + 1), dtype=dtype)
@@ -236,6 +254,25 @@ def pruned_levels(n, mask, ballot_req, rest=()):
         if ballot_req:
             height = height[parent] + np.where(last[parent] <= s, 1, -1)
         last = s + 1
+
+
+def check_rows(n, mask, ballot_req):
+    """Refuse a listing to n of the class of ``mask`` as ``pruned_levels``
+    would, before any row is built: with ``CapExceededError`` when some
+    length needs more than ``MAX_ROWS`` rows.
+
+    For length-3 patterns alone every child of the walk is a member, so its
+    level sizes are the class counts, and one ``pruned_count`` decides.
+    When that passes ``MAX_STATES`` it decides nothing, and the walk keeps
+    its own bound.
+    """
+    try:
+        counts = pruned_count(n, mask, ballot_req)
+    except CapExceededError:
+        return
+    for length, size in enumerate(counts[1:], 2):  # the walk bounds the lengths from 2
+        if size > MAX_ROWS:
+            raise _too_many_rows(n, mask, ballot_req, (), size, length)
 
 
 def pruned_fill(n, mask, ballot_req, rest=()):

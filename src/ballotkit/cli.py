@@ -5,6 +5,12 @@ are stable: 0 success, 1 verification or membership mismatch, 2 usage or
 parse error.  The two length caps are set by flags alone, ``--oracle-max-n``
 and ``--pruned-max-n``, whose defaults are those of ``enumeration.Caps``;
 the library applies them.
+
+``enumerate`` formats and writes its sorted rows in slices of about
+``LISTING_SLICE_BYTES`` each, plain and JSON alike, so that a listing never
+holds its whole text, one string per row or a whole JSON document.  The JSON
+is written as its head up to ``"perms": [``, each slice's quoted lines, and
+its tail, byte for byte what ``json.dumps(payload, sort_keys=True)`` gives.
 """
 from __future__ import annotations
 
@@ -39,6 +45,9 @@ FORMULA_MAX_N = 1000
 #: The longest ``biject`` input: entries of ``--perm``, letters of ``--word``.
 #: The membership check is cubic in the length (0.25 s for the identity here).
 BIJECT_MAX_LEN = 300
+#: Bytes of character cells ``perms.format_rows`` spells per slice of a
+#: listing, so that a slice's text and temporaries stay this small.
+LISTING_SLICE_BYTES = 64 * 1024
 
 
 class _UsageError(Exception):
@@ -103,24 +112,40 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                               "(default %(default)s)")
 
 
+def _slices(rows):
+    """The rows of ``rows`` in consecutive slices of at least one row, each
+    spelled by ``format_rows`` in at most ``LISTING_SLICE_BYTES`` of cells."""
+    m, n = rows.shape
+    step = max(1, LISTING_SLICE_BYTES // max(1, n * (len(str(n)) + 1)))
+    return (rows[start:start + step] for start in range(0, m, step))
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pset = _parsed(parse_pattern_set, args.patterns)
     ballot = not args.no_ballot
     rows = enumerate_rows(args.n, pset, ballot=ballot, method=args.method,
                           caps=Caps(args.oracle_max_n, args.pruned_max_n))
-    text = format_rows(rows)
-    if args.format == "json":
-        _emit_json({
-            "command": "enumerate",
-            "class": format_pattern_set(pset),
-            "n": args.n,
-            "ballot": ballot,
-            "method": args.method,
-            "count": len(rows),
-            "perms": text.split("\n")[:-1],
-        })
-    else:
-        sys.stdout.write(text)
+    if args.format == "plain":
+        for part in _slices(rows):
+            sys.stdout.write(format_rows(part))
+        return EXIT_OK
+    # "perms" holds the only list of the document, so its "[]" splits it
+    head, _, tail = json.dumps({
+        "command": "enumerate",
+        "class": format_pattern_set(pset),
+        "n": args.n,
+        "ballot": ballot,
+        "method": args.method,
+        "count": len(rows),
+        "perms": [],
+        "schema": SCHEMA_VERSION,
+    }, sort_keys=True).partition("[]")
+    sys.stdout.write(head + "[")
+    sep = ""
+    for part in _slices(rows):
+        sys.stdout.write(sep + json.dumps(format_rows(part).split("\n")[:-1])[1:-1])
+        sep = ", "
+    sys.stdout.write("]" + tail + "\n")
     return EXIT_OK
 
 

@@ -14,7 +14,10 @@ numpy, tracking the values that length-3 patterns forbid with the counter's
 blocked-sites state, and makes one call per listing.  Both enumerators
 return lists of tuples; ``enumerate_rows`` is the one listing function
 behind them, which checks the cap, n and the pattern set once and returns
-the members as the rows of an integer array, as the CLI prints them.
+the members as the rows of an integer array, as the CLI prints them.  For
+length-3 patterns it refuses a pruned listing of more than
+``_kernels.MAX_ROWS`` rows at some length from the class counts
+(``_kernels.check_rows``), before any row is built.
 
 ``count_pruned`` and ``count_sequence`` produce tallies.  For length-3
 pattern sets they make one pass of the transfer-state counter
@@ -135,7 +138,8 @@ def enumerate_rows(
     """Every avoider of length ``n`` as the rows of an (m, n) array, lex order.
 
     ``method`` is "oracle" (exhaustive filtering) or "pruned"; each refuses n
-    above its cap in ``caps``.  Length 0 gives one empty row.
+    above its cap in ``caps``, and "pruned" also a length of more than
+    ``_kernels.MAX_ROWS`` rows.  Length 0 gives one empty row.
     """
     if method not in ("oracle", "pruned"):
         raise InvalidInputError(f"unknown enumeration method: {method!r}")
@@ -147,6 +151,8 @@ def enumerate_rows(
     pset = canonical_pattern_set(patterns)
     mask, rest = _split(pset)
     if method == "pruned":
+        if not rest:
+            _kernels.check_rows(n, mask, ballot)
         return _partition_firsts(n, mask, ballot, rest)
     if not rest:
         return _kernels.oracle_fill(n, mask, ballot, 0)

@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import sys
+import tracemalloc
 
 import pytest
 
-from ballotkit import formulas, verification
+from ballotkit import _kernels, cli, formulas, verification
 from ballotkit.cli import BIJECT_MAX_LEN, FORMULA_MAX_N, main, parse_json_output
-from ballotkit.enumeration import Caps
+from ballotkit.enumeration import Caps, enumerate_rows
 from ballotkit.errors import InvalidInputError
+from ballotkit.patterns import format_pattern_set, parse_pattern_set
+from ballotkit.perms import format_rows
 
 
 def run(capsys, *argv):
@@ -51,6 +55,69 @@ def test_enumerate_no_ballot_and_method(capsys):
     assert code_a == code_b == 0
     assert out_a == out_b
     assert len(out_a.splitlines()) == 11
+
+
+# (patterns, n, ballot, method): one empty row, an empty class, the ballot
+# listing of the benchmark, a comma-format listing and an oracle listing
+_LISTINGS = [("", 0, True, "pruned"), ("123,231", 5, True, "pruned"),
+             ("", 9, True, "pruned"), ("231", 10, False, "pruned"),
+             ("132", 8, True, "oracle")]
+
+
+def test_sliced_listing_is_byte_identical(capsys, monkeypatch):
+    sizes = []
+
+    def counted(part):
+        sizes.append(len(part))
+        return format_rows(part)
+
+    monkeypatch.setattr(cli, "format_rows", counted)
+    default = cli.LISTING_SLICE_BYTES
+    uneven = False
+    for patterns, n, ballot, method in _LISTINGS:
+        pset = parse_pattern_set(patterns)
+        rows = enumerate_rows(n, pset, ballot=ballot, method=method)
+        # what the writer printed before it wrote in slices: the whole text,
+        # and for JSON one document holding one string per row
+        text = format_rows(rows)
+        document = json.dumps({
+            "command": "enumerate", "class": format_pattern_set(pset), "n": n,
+            "ballot": ballot, "method": method, "count": len(rows),
+            "perms": text.split("\n")[:-1], "schema": cli.SCHEMA_VERSION,
+        }, sort_keys=True) + "\n"
+        argv = ["enumerate", "--patterns", patterns, "--n", str(n), "--method", method]
+        argv += [] if ballot else ["--no-ballot"]
+        for budget in (1, 1000, default):  # one row a slice; 55 rows a slice at n = 9
+            monkeypatch.setattr(cli, "LISTING_SLICE_BYTES", budget)
+            for fmt, expected in (("plain", text), ("json", document)):
+                sizes.clear()
+                assert run(capsys, *argv, "--format", fmt) == (0, expected, ""), (argv, budget)
+                assert sum(sizes) == len(rows)
+                assert budget > 1 or set(sizes) <= {1}
+                uneven |= len(set(sizes)) > 1
+    assert uneven  # some listing ended in a shorter slice
+
+
+def test_enumerate_output_holds_no_more_than_a_slice():
+    # tracemalloc sees numpy's buffers: writing the JSON listing must add no
+    # more than a slice's text and temporaries to the kernel's own peak
+    class Sink:
+        def write(self, text):
+            return len(text)
+
+    saved = sys.stdout
+    tracemalloc.start()
+    try:
+        _kernels.pruned_fill(9, 0, True)
+        kernel_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        sys.stdout = Sink()
+        assert main(["enumerate", "--n", "9", "--format", "json"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        sys.stdout = saved
+        tracemalloc.stop()
+    assert peak < kernel_peak + 2**20, f"{peak / 2**20:.2f} MB, kernel {kernel_peak / 2**20:.2f} MB"
 
 
 def test_count_bfile_golden(capsys):

@@ -193,8 +193,9 @@ def test_pruned_rows_bound(monkeypatch):
 
 
 def test_refused_listing_memory_is_bounded():
-    # the open sites of each length are found one site at a time, so a
-    # refusal at length 11 makes no (rows, sites) integer temporaries
+    # the open sites of each length are found a few sites at a time, so a
+    # refusal by the walk at length 11 makes no large (rows, sites) integer
+    # temporaries
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="9,823,275 rows at length 11"):
@@ -203,6 +204,51 @@ def test_refused_listing_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def test_check_rows_refuses_as_the_walk_does(monkeypatch):
+    # for length-3 patterns the walk's level sizes are the class counts, so
+    # the refusal read off the counts names the same length and row count
+    monkeypatch.setattr(_kernels, "MAX_ROWS", 100)
+    refused = 0
+    for mask in range(64):
+        for ballot in (True, False):
+            messages = []
+            for refuse in (_kernels.pruned_fill, _kernels.check_rows):
+                try:
+                    refuse(7, mask, ballot)
+                    messages.append(None)
+                except CapExceededError as exc:
+                    messages.append(str(exc))
+            assert messages[0] == messages[1], (mask, ballot)
+            refused += messages[0] is not None
+    assert 0 < refused < 128
+
+
+def test_enumerate_refuses_before_listing(monkeypatch, capsys):
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(_kernels, "pruned_levels", walk)
+    assert main(["enumerate", "--n", "11"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: ballot {} at n=11 needs 9,823,275 rows at length 11, "
+                   "more than 4,000,000; lower n\n")
+
+
+def test_row_refusal_past_the_state_bound_is_the_walk_s(monkeypatch):
+    # when the counter passes its state bound it cannot tell the level sizes,
+    # and the walk alone decides: no cap error where a listing fits
+    monkeypatch.setattr(_kernels, "MAX_STATES", 10)
+    pset = parse_pattern_set("132")
+    with pytest.raises(CapExceededError, match="states"):
+        count_sequence(pset, 8)
+    assert enumerate_pruned(8, pset) == enumerate_oracle(8, pset)
+    monkeypatch.setattr(_kernels, "MAX_ROWS", 100)
+    with pytest.raises(CapExceededError, match=r"ballot \{132\} at n=8 needs 196 rows "
+                                               r"at length 8"):
+        enumerate_pruned(8, pset)
 
 
 def test_enumerate_rows_shapes():
