@@ -13,7 +13,9 @@ refused listing of every ballot permutation of length 11, both by the walk
 (timed until the row bound stops it) and by ``check_rows``, which refuses
 it from the class counts before any row is built, as ``enumerate`` does, the
 vectorized oracle listing one class from every permutation of length 9 and
-10, the oracle listing all 64 classes of length 8, ballot and plain, from
+10, the oracle listing of plain {132,1234} of length 9 through
+``enumerate_rows`` (the 1234 test runs on the {132} avoiders alone), the
+oracle listing all 64 classes of length 8, ballot and plain, from
 one shared classification, the oracle census of length 8, and the
 bijection suite of ``verify`` to n = 8 and n = 10 (its rows list from the
 oracle up to its default cap of 10).  Every time is the median of
@@ -36,7 +38,7 @@ from ballotkit._kernels import (
     pruned_count,
     pruned_fill,
 )
-from ballotkit.enumeration import _split
+from ballotkit.enumeration import _split, enumerate_rows
 from ballotkit.errors import CapExceededError
 from ballotkit.patterns import parse_pattern_set
 from ballotkit.verification import suite_bijections
@@ -58,6 +60,7 @@ CASES = [
     ("check_rows {} n=11 (refused)", "check", "", 11, True),
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9, True),
     ("oracle_fill {132,213} n=10", "oracle", "132,213", 10, True),
+    ("oracle rows {132,1234} plain n=9", "oracle_rows", "132,1234", 9, False),
     ("oracle_fill every class n=8", "every", "", 8, True),
     ("oracle_census n=8", "census", "", 8, True),
     ("suite_bijections n=8", "bijections", "", 8, True),
@@ -68,6 +71,11 @@ CASES = [
 def _every_class(n):
     """Every class of length n, ballot and plain, through the oracle."""
     return [oracle_fill(n, mask, ballot, 0) for mask in range(64) for ballot in (True, False)]
+
+
+def _oracle_rows(n, pset, ballot):
+    """The oracle listing as ``enumerate --method oracle`` makes it."""
+    return enumerate_rows(n, pset, ballot=ballot, method="oracle")
 
 
 def _refusal(kernel):
@@ -86,6 +94,7 @@ def _refusal(kernel):
 # the census is memoized per length; time the computation behind the cache
 KERNELS = {"count": pruned_count, "fill": pruned_fill, "refused": _refusal(pruned_fill),
            "check": _refusal(check_rows), "oracle": oracle_fill,
+           "oracle_rows": _oracle_rows,
            "every": _every_class, "census": oracle_census.__wrapped__,
            "bijections": suite_bijections}
 
@@ -97,6 +106,8 @@ def _run(kind, pset, n, ballot):
         return fn(n, mask, ballot)
     if kind in ("every", "census", "bijections"):
         return fn(n)
+    if kind == "oracle_rows":
+        return fn(n, pset, ballot)
     if kind in ("fill", "refused"):
         return fn(n, mask, ballot, rest)
     return fn(n, mask, ballot, 0)

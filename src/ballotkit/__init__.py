@@ -18,6 +18,7 @@ The package is organized as:
 from ._kernels import backend_name
 from .bijections import (
     DESCENT_WORD_FAMILIES,
+    UNIQUE_MEMBER_CLASSES,
     WilfFamily,
     behead_231_321,
     excluded_element_213_321,

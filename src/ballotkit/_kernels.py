@@ -2,10 +2,9 @@
 
 Kernels encode the length-3 patterns of a set as a 6-bit mask over the
 lexicographic pattern order 123, 132, 213, 231, 312, 321.  The level walk
-also takes the set's patterns of other lengths.  The counter and the oracle
-take the mask alone, so ``enumeration`` counts a set with such a pattern by
-the sizes of the walk's levels, and its oracle filters every permutation in
-pure Python.
+and the oracle also take the set's patterns of other lengths.  The counter
+takes the mask alone, so ``enumeration`` counts a set with such a pattern by
+the sizes of the walk's levels.
 
 There are three kernels and a census.  All run on the interpreter and
 numpy.
@@ -39,19 +38,20 @@ numpy.
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
   validated against.  It is vectorized with numpy: the permutations are
-  uint8 blocks, one per fixed prefix (the first value, or the first n - 9
-  values from n = 10 on, so that no block exceeds 9! rows); each row's
-  code holds its set of contained length-3 patterns, from one pass over
-  all C(n, 3) position triples whose comparison codes a lookup table maps
-  to patterns, and its ballot flag, from a cumulative sum of +1/-1 steps.
-  Up to n = ``_FREE_MAX`` = 9 every permutation of a length is kept as one
-  read-only row array (3.3 MB at n = 9), each built from the one below, so
-  the blocks are views of it and a class is one boolean index of it.  Up to
-  n = ``_FREE_MAX`` + 1 = 10 the codes of a length are computed once and
-  kept, n! bytes (3.6 MB at n = 10), so every class of that length is
-  listed from one classification.  From n = 11 on every block is
-  classified afresh and kept nowhere.  Past n = 9 a call builds only the
-  members of each block, from the rows of length 9 that its codes select.
+  uint8 blocks, one per fixed prefix of max(1, n - 9) values, each followed
+  by the rows of ``_lex_rows`` of the values left free (so that no block
+  exceeds 9! rows); each row's code holds its set of contained length-3
+  patterns, from one pass over all C(n, 3) position triples whose
+  comparison codes a lookup table maps to patterns, and its ballot flag,
+  from a cumulative sum of +1/-1 steps.  A call builds only the rows of
+  each block that its codes select, and drops those that contain a longer
+  pattern with ``patterns.avoids_all``, block by block.  Every permutation
+  of a length up to n = ``_FREE_MAX`` = 9 is kept as one read-only row
+  array (3.3 MB at n = 9), each built from the one below, to serve as block
+  tails.  Up to n = ``_FREE_MAX`` + 1 = 10 the codes of a length are
+  computed once and kept, n! bytes (3.6 MB at n = 10), so every class of
+  that length is listed from one classification.  From n = 11 on every
+  block is classified afresh and kept nowhere.
 - ``oracle_census``: the same codes tallied by (set of contained patterns,
   ballot flag), memoized per length, so one classification of length n
   gives the oracle count of every class.
@@ -65,7 +65,7 @@ import math
 import numpy as np
 
 from .errors import CapExceededError
-from .patterns import LENGTH3_PATTERNS, format_pattern_set
+from .patterns import LENGTH3_PATTERNS, avoids_all, format_pattern_set
 
 #: Most states ``pruned_count`` keeps for one length (under 20 MB of tables).
 MAX_STATES = 100_000
@@ -286,7 +286,7 @@ def pruned_fill(n, mask, ballot_req, rest=()):
 
 #: Most values a block of the oracle leaves free behind its fixed prefix, so
 #: that no block holds more than 9! = 362,880 rows; also the longest length
-#: whose rows are kept (9! x 9 bytes).  The codes are kept one length
+#: whose rows are kept as tails (9! x 9 bytes).  The codes are kept one length
 #: further, to the last length with one block per first value (10! bytes).
 _FREE_MAX = 9
 
@@ -345,18 +345,20 @@ def _lex_rows(n):
 
 
 def _prefixes(n):
-    """The prefix of each block of ``_oracle_blocks(n)``, n > _FREE_MAX."""
-    return itertools.permutations(range(1, n + 1), n - _FREE_MAX)
+    """The prefix of each block of ``_oracle_blocks(n)``, in lex order."""
+    return itertools.permutations(range(1, n + 1), max(1, n - _FREE_MAX))
+
+
+def _tail(n):
+    """The rows behind each block's prefix: ``_lex_rows`` of the free values."""
+    return _lex_rows(min(n - 1, _FREE_MAX))
 
 
 def _oracle_blocks(n):
-    """Every permutation of 1..n as (rows, n) uint8 blocks in lex order: one
-    block per prefix of max(1, n - _FREE_MAX) values, followed by every order
-    of the rest.  Up to n = _FREE_MAX the blocks are views of ``_lex_rows(n)``;
-    longer lengths build each block afresh on the rows of length _FREE_MAX."""
-    if n <= _FREE_MAX:
-        return np.split(_lex_rows(n), n)
-    tail = _lex_rows(_FREE_MAX)
+    """Every permutation of 1..n, n >= 1, as (rows, n) uint8 blocks in lex
+    order, each built afresh: one block per prefix, followed by every order
+    of the rest."""
+    tail = _tail(n)
     return (_block(prefix, tail) for prefix in _prefixes(n))
 
 
@@ -431,26 +433,32 @@ def _block_codes(n):
     return map(_classify, _oracle_blocks(n))
 
 
-def oracle_fill(n, mask, ballot_req, first):
-    """Members of the class at length n as an (m, n) uint8 array, lex order.
+def oracle_fill(n, mask, ballot_req, first, rest=()):
+    """Members of the class at length n >= 1 as an (m, n) uint8 array, lex order.
 
     Keeps the permutations of 1..n that contain no pattern of ``mask`` and,
-    when ``ballot_req`` is set, are ballot; ``first`` > 0 keeps the rows
-    whose position 0 holds that value.
+    when ``ballot_req`` is set, are ballot; then, block by block, those
+    that also avoid every pattern of ``rest`` (``patterns.avoids_all``).
+    ``first`` > 0 keeps the blocks whose prefix starts with that value.
     """
     forbidden = mask | _BALLOT_BIT if ballot_req else mask
     wanted = _BALLOT_BIT if ballot_req else 0
-    if n <= _FREE_MAX:
-        rows = _lex_rows(n)[(_oracle_codes(n) & forbidden) == wanted]
-    else:
-        # the codes of a block are in the order of the tail rows it is built
-        # from, so only the members are built
-        tail = _lex_rows(_FREE_MAX)
-        rows = np.concatenate([_block(prefix, tail[(codes & forbidden) == wanted])
-                               for prefix, codes in zip(_prefixes(n), _block_codes(n))])
-    if first > 0:
-        rows = rows[rows[:, 0] == first]
-    return rows
+    tail = _tail(n)
+    blocks = [np.empty((0, n), dtype=np.uint8)]
+    for prefix, codes in zip(_prefixes(n), _block_codes(n)):
+        # a block's codes are in the order of the tail rows it is built from,
+        # so only the mask's members are built (``compress`` is several times
+        # faster than a boolean index; about half the blocks select none)
+        members = tail.compress((codes & forbidden) == wanted, axis=0)
+        if len(members) == 0 or first > 0 and prefix[0] != first:
+            continue
+        rows = _block(prefix, members)
+        if rest:
+            # each row as a tuple, which builds and indexes faster than a list
+            perms = zip(*rows.T.tolist())
+            rows = rows.compress([avoids_all(p, rest) for p in perms], axis=0)
+        blocks.append(rows)
+    return np.concatenate(blocks)
 
 
 @functools.cache

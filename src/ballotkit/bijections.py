@@ -333,26 +333,33 @@ def _chain_of_pairs(n: int) -> Perm:
     return reduce(skew_sum, blocks) if blocks else ()
 
 
-_UNIQUE_CHAIN = {"123,132", "123,132,213"}
-_UNIQUE_IDENTITY = {"132,231", "132,213,231", "132,231,312", "132,231,321"}
+def _members_123_213(n: int) -> list[Perm]:
+    """The chain of pairs, and at odd n >= 3 also a chain ending in 132."""
+    if n == 1 or n % 2 == 0:
+        return [_chain_of_pairs(n)]
+    return sorted([_chain_of_pairs(n), skew_sum(_chain_of_pairs(n - 3), (1, 3, 2))])
+
+
+#: The always-small classes ``unique_members`` constructs, by canonical name,
+#: each with its members of length n: a single chain of descending pairs,
+#: the identity alone, or the one class with two members at odd lengths.
+UNIQUE_MEMBER_CLASSES: dict[str, Callable[[int], list[Perm]]] = {
+    "123,132": lambda n: [_chain_of_pairs(n)],
+    "123,213": _members_123_213,
+    "132,231": lambda n: [identity(n)],
+    "123,132,213": lambda n: [_chain_of_pairs(n)],
+    "132,213,231": lambda n: [identity(n)],
+    "132,231,312": lambda n: [identity(n)],
+    "132,231,321": lambda n: [identity(n)],
+}
 
 
 def unique_members(patterns: PatternSet, n: int) -> list[Perm]:
-    """The explicitly constructed members of the always-small classes.
-
-    Covers the classes whose avoiders are a single chain of descending pairs,
-    the identity-only classes, and the one class with two members at odd
-    lengths.
-    """
+    """The members of length n of a class of ``UNIQUE_MEMBER_CLASSES``,
+    constructed explicitly; any other class raises ``UnsupportedClassError``."""
     if n < 0:
         raise InvalidInputError("unique_members needs n >= 0")
     name = format_pattern_set(canonical_pattern_set(patterns))
-    if name in _UNIQUE_CHAIN:
-        return [_chain_of_pairs(n)]
-    if name in _UNIQUE_IDENTITY:
-        return [identity(n)]
-    if name == "123,213":
-        if n == 1 or n % 2 == 0:
-            return [_chain_of_pairs(n)]
-        return sorted([_chain_of_pairs(n), skew_sum(_chain_of_pairs(n - 3), (1, 3, 2))])
-    raise UnsupportedClassError(f"{{{name}}} has no explicit member construction")
+    if name not in UNIQUE_MEMBER_CLASSES:
+        raise UnsupportedClassError(f"{{{name}}} has no explicit member construction")
+    return UNIQUE_MEMBER_CLASSES[name](n)

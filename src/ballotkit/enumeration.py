@@ -35,9 +35,10 @@ it drops each child whose new last entry completes an occurrence of one of
 the others.  So one walk of West's generating tree lists every pattern set,
 and the pruned counts of a set with such a pattern are the sizes of the
 levels of one walk to n (``_kernels.pruned_levels``), bounded, like
-listing, by ``_kernels.MAX_ROWS`` children per length.  The oracle lists
-and counts those sets by filtering every permutation through
-``avoids_all``.
+listing, by ``_kernels.MAX_ROWS`` children per length.  The oracle takes
+both as well: it lists and counts such a set by classifying every
+permutation for the mask and dropping, block by block, the members that
+contain one of the others.
 
 ``Caps`` holds both length caps and applies them: each function takes one
 as ``caps`` and refuses n past the cap of the method it runs.  Nothing here
@@ -46,7 +47,6 @@ reads the environment; the CLI builds the ``Caps`` from its flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations as _all_perms
 
 import numpy as np
 
@@ -55,11 +55,10 @@ from .errors import CapExceededError, InvalidInputError
 from .patterns import (
     LENGTH3_PATTERNS,
     PatternSet,
-    avoids_all,
     canonical_pattern_set,
     format_pattern_set,
 )
-from .perms import Perm, is_ballot
+from .perms import Perm
 
 
 @dataclass(frozen=True)
@@ -146,22 +145,14 @@ def enumerate_rows(
     caps.check(method, n, "enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
+    mask, rest = _split(canonical_pattern_set(patterns))
     if n == 0:
         return np.empty((1, 0), dtype=np.uint8)
-    pset = canonical_pattern_set(patterns)
-    mask, rest = _split(pset)
-    if method == "pruned":
-        if not rest:
-            _kernels.check_rows(n, mask, ballot)
-        return _partition_firsts(n, mask, ballot, rest)
+    if method == "oracle":
+        return _kernels.oracle_fill(n, mask, ballot, 0, rest)
     if not rest:
-        return _kernels.oracle_fill(n, mask, ballot, 0)
-    members = [
-        p
-        for p in _all_perms(range(1, n + 1))
-        if (not ballot or is_ballot(p)) and avoids_all(p, pset)
-    ]
-    return np.array(members, dtype=np.min_scalar_type(n)).reshape(len(members), n)
+        _kernels.check_rows(n, mask, ballot)
+    return _partition_firsts(n, mask, ballot, rest)
 
 
 def enumerate_oracle(
@@ -204,6 +195,7 @@ def count_pruned(
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     if n == 0:
+        canonical_pattern_set(patterns)  # refuse an invalid set at every n
         return 1
     return count_sequence(patterns, n, ballot=ballot, caps=caps).counts[-1]
 
@@ -225,10 +217,8 @@ def count_sequence(
     pset = canonical_pattern_set(patterns)
     mask, rest = _split(pset)
     if method == "oracle" and rest:
-        counts = tuple(
-            len(enumerate_oracle(n, pset, ballot=ballot, caps=caps))
-            for n in range(1, n_max + 1)
-        )
+        counts = tuple(len(_kernels.oracle_fill(n, mask, ballot, 0, rest))
+                       for n in range(1, n_max + 1))
     elif method == "oracle":
         counts = tuple(_census_count(n, mask, ballot) for n in range(1, n_max + 1))
     elif rest:

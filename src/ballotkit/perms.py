@@ -122,15 +122,7 @@ def is_ballot(p: Perm) -> bool:
     >>> is_ballot((2, 1))
     False
     """
-    asc = desc = 0
-    for i in range(len(p) - 1):
-        if p[i] < p[i + 1]:
-            asc += 1
-        else:
-            desc += 1
-        if desc > asc:
-            return False
-    return True
+    return is_ballot_word(descent_word(p))
 
 
 def descent_word(p: Perm) -> str:

@@ -224,14 +224,13 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
     rows.append(_named_check("generators", generators))
 
     def unique_member_classes():
-        for name in ("123,132", "123,213", "132,231", "123,132,213",
-                     "132,213,231", "132,231,312", "132,231,321"):
+        for name in bijections.UNIQUE_MEMBER_CLASSES:
             pset = parse_pattern_set(name)
             for n in range(1, n_max + 1):
                 assert bijections.unique_members(pset, n) == members(pset, n), (
                     f"{name} at n={n}"
                 )
-        return f"7 classes matched to n={n_max}"
+        return f"{len(bijections.UNIQUE_MEMBER_CLASSES)} classes matched to n={n_max}"
 
     rows.append(_named_check("unique-members", unique_member_classes))
     return rows

@@ -10,7 +10,7 @@ import pytest
 
 from naive import naive_census, naive_listings, naive_members
 import ballotkit
-from ballotkit import _kernels
+from ballotkit import _kernels, patterns
 from ballotkit.cli import main
 from ballotkit.enumeration import (
     Caps,
@@ -96,7 +96,7 @@ def test_generic_paths_match_kernels():
 
 def test_non_length3_patterns():
     for text, n_top in (("12", 6), ("21", 6), ("1", 4), ("1234", 7), ("3142,2413", 7),
-                        ("123,1234", 7)):
+                        ("123,1234", 7), ("132,1234", 7), ("321,2143", 7)):
         pset = parse_pattern_set(text)
         assert _split(pset)[1]
         naive_counts = []
@@ -258,6 +258,14 @@ def test_enumerate_rows_shapes():
         assert enumerate_rows(4, parse_pattern_set("1234"), method=method).shape == (8, 4)
     with pytest.raises(InvalidInputError):
         enumerate_rows(3, (), method="guess")
+    # an invalid pattern set is refused at n = 0 as at every other length
+    for n in (0, 3):
+        with pytest.raises(InvalidInputError):
+            enumerate_rows(n, [(1, 1)])
+        with pytest.raises(InvalidInputError):
+            enumerate_oracle(n, [(2, 2, 2)])
+        with pytest.raises(InvalidInputError):
+            count_pruned(n, [(5,)])
 
 
 def test_oracle_rows_match_naive_all_masks(members):
@@ -293,9 +301,25 @@ def test_oracle_rows_are_kept_read_only():
         rows = _kernels._lex_rows(n)
         assert rows.shape == (math.factorial(n), n) and not rows.flags.writeable, n
     assert _kernels._lex_rows(3).tolist() == [list(p) for p in itertools.permutations((1, 2, 3))]
-    # the blocks of a kept length are views of its rows, not copies
+    # the blocks of a length, in order, are every permutation in lex order
     blocks = list(_kernels._oracle_blocks(8))
-    assert len(blocks) == 8 and all(b.base is _kernels._lex_rows(8) for b in blocks)
+    assert len(blocks) == 8 and np.array_equal(np.concatenate(blocks), _kernels._lex_rows(8))
+
+
+def test_oracle_tests_longer_patterns_on_mask_members_only(monkeypatch):
+    # the oracle drops rows with a longer pattern after the length-3 mask,
+    # so {132,1234} asks about 1234 once per plain {132} avoider of length 8
+    calls = []
+    contains = patterns.contains
+
+    def counted(p, q):
+        calls.append(q)
+        return contains(p, q)
+
+    monkeypatch.setattr(patterns, "contains", counted)
+    rows = enumerate_rows(8, parse_pattern_set("132,1234"), ballot=False, method="oracle")
+    assert len(rows) == 610
+    assert 0 < len(calls) <= 1430
 
 
 def test_oracle_classifies_each_length_once(monkeypatch):
