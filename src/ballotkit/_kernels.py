@@ -40,18 +40,18 @@ numpy.
   validated against.  It is vectorized with numpy: the permutations are
   uint8 blocks, one per fixed prefix of max(1, n - 9) values, each followed
   by the rows of ``_lex_rows`` of the values left free (so that no block
-  exceeds 9! rows); each row's code holds its set of contained length-3
-  patterns, from one pass over all C(n, 3) position triples whose
-  comparison codes a lookup table maps to patterns, and its ballot flag,
-  from a cumulative sum of +1/-1 steps.  A call builds only the rows of
-  each block that its codes select, and drops those that contain a longer
-  pattern with ``patterns.avoids_all``, block by block.  Every permutation
-  of a length up to n = ``_FREE_MAX`` = 9 is kept as one read-only row
-  array (3.3 MB at n = 9), each built from the one below, to serve as block
-  tails.  Up to n = ``_FREE_MAX`` + 1 = 10 the codes of a length are
-  computed once and kept, n! bytes (3.6 MB at n = 10), so every class of
-  that length is listed from one classification.  From n = 11 on every
-  block is classified afresh and kept nowhere.
+  exceeds 9! rows), as ``_blocks`` states once; each row's code holds its
+  set of contained length-3 patterns, from one pass over all C(n, 3)
+  position triples whose comparison codes a lookup table maps to patterns,
+  and its ballot flag, from a cumulative sum of +1/-1 steps.  A call builds
+  only the rows of each block that its codes select, and drops those that
+  contain a longer pattern with ``patterns.avoids_all``, block by block.
+  Every permutation of a length up to n = ``_FREE_MAX`` = 9 is kept as one
+  read-only row array (3.3 MB at n = 9), each built from the one below, to
+  serve as block tails.  Up to n = ``_FREE_MAX`` + 1 = 10 the codes of a
+  length are computed once and kept, n! bytes (3.6 MB at n = 10), so every
+  class of that length is listed from one classification.  From n = 11 on
+  every block is classified afresh and kept nowhere.
 - ``oracle_census``: the same codes tallied by (set of contained patterns,
   ballot flag), memoized per length, so one classification of length n
   gives the oracle count of every class.
@@ -277,8 +277,9 @@ def check_rows(n, mask, ballot_req):
 
 def pruned_fill(n, mask, ballot_req, rest=()):
     """Members of the class at length n as an (m, n) array, lex order: the
-    last level of ``pruned_levels``, sorted."""
-    rows = np.empty((0, n), dtype=np.min_scalar_type(n))  # n < 1 has no level
+    last level of ``pruned_levels``, sorted; at n = 0 the one empty row."""
+    if n == 0:  # the empty permutation has no level
+        return np.empty((1, 0), dtype=np.uint8)
     for rows in pruned_levels(n, mask, ballot_req, rest):
         pass
     return rows[np.lexsort(rows.T[::-1])]
@@ -344,22 +345,14 @@ def _lex_rows(n):
     return rows
 
 
-def _prefixes(n):
-    """The prefix of each block of ``_oracle_blocks(n)``, in lex order."""
-    return itertools.permutations(range(1, n + 1), max(1, n - _FREE_MAX))
-
-
-def _tail(n):
-    """The rows behind each block's prefix: ``_lex_rows`` of the free values."""
-    return _lex_rows(min(n - 1, _FREE_MAX))
-
-
-def _oracle_blocks(n):
-    """Every permutation of 1..n, n >= 1, as (rows, n) uint8 blocks in lex
-    order, each built afresh: one block per prefix, followed by every order
-    of the rest."""
-    tail = _tail(n)
-    return (_block(prefix, tail) for prefix in _prefixes(n))
+def _blocks(n):
+    """The oracle's blocks of the permutations of 1..n, in lex order, as
+    (prefix, tail) pairs: each prefix of max(1, n - _FREE_MAX) values (the
+    empty one at n = 0) with ``_lex_rows`` of the values left free, from
+    which ``_block`` builds every permutation that starts with it."""
+    fixed = min(n, max(1, n - _FREE_MAX))
+    tail = _lex_rows(n - fixed)
+    return ((prefix, tail) for prefix in itertools.permutations(range(1, n + 1), fixed))
 
 
 #: Bit of a classification code that holds the ballot flag.
@@ -417,24 +410,24 @@ def _oracle_codes(n):
     """
     codes = np.empty(math.factorial(n), dtype=np.uint8)
     start = 0
-    for block in _oracle_blocks(n):
-        codes[start:start + len(block)] = _classify(block)
-        start += len(block)
+    for prefix, tail in _blocks(n):
+        codes[start:start + len(tail)] = _classify(_block(prefix, tail))
+        start += len(tail)
     codes.flags.writeable = False
     return codes
 
 
 def _block_codes(n):
-    """The codes of each block of ``_oracle_blocks(n)``, in block order: rows
-    of the memo up to n = _FREE_MAX + 1 (one block per first value), and
-    classified afresh, kept nowhere, above it."""
+    """The codes of each block of ``_blocks(n)``, in block order: rows of the
+    memo up to n = _FREE_MAX + 1 (one block per first value, one at n = 0),
+    and classified afresh, kept nowhere, above it."""
     if n <= _FREE_MAX + 1:
-        return _oracle_codes(n).reshape(n, -1)
-    return map(_classify, _oracle_blocks(n))
+        return _oracle_codes(n).reshape(max(n, 1), -1)
+    return (_classify(_block(prefix, tail)) for prefix, tail in _blocks(n))
 
 
 def oracle_fill(n, mask, ballot_req, first, rest=()):
-    """Members of the class at length n >= 1 as an (m, n) uint8 array, lex order.
+    """Members of the class at length n as an (m, n) uint8 array, lex order.
 
     Keeps the permutations of 1..n that contain no pattern of ``mask`` and,
     when ``ballot_req`` is set, are ballot; then, block by block, those
@@ -443,9 +436,8 @@ def oracle_fill(n, mask, ballot_req, first, rest=()):
     """
     forbidden = mask | _BALLOT_BIT if ballot_req else mask
     wanted = _BALLOT_BIT if ballot_req else 0
-    tail = _tail(n)
     blocks = [np.empty((0, n), dtype=np.uint8)]
-    for prefix, codes in zip(_prefixes(n), _block_codes(n)):
+    for (prefix, tail), codes in zip(_blocks(n), _block_codes(n)):
         # a block's codes are in the order of the tail rows it is built from,
         # so only the mask's members are built (``compress`` is several times
         # faster than a boolean index; about half the blocks select none)
@@ -454,8 +446,9 @@ def oracle_fill(n, mask, ballot_req, first, rest=()):
             continue
         rows = _block(prefix, members)
         if rest:
-            # each row as a tuple, which builds and indexes faster than a list
-            perms = zip(*rows.T.tolist())
+            # each row as a tuple, which builds and indexes faster than a list;
+            # zip of no columns would give no row at all for the empty one
+            perms = zip(*rows.T.tolist()) if n else [()]
             rows = rows.compress([avoids_all(p, rest) for p in perms], axis=0)
         blocks.append(rows)
     return np.concatenate(blocks)

@@ -12,9 +12,10 @@ members have:
 - the {132,213,321} family admits words with at most one descent
   (U^a D U^b or all U).
 
-Only the four pair classes have builders of their own.  Each triple class
-lies inside one of them, so its member with a given word is the pair's
-member with that word.
+Each family maps its member classes to their builders.  Only the four pair
+classes have builders of their own.  Each triple class lies inside one of
+them, so its member with a given word is the pair's member with that word,
+and its family lists the pair's builder.
 
 The remaining maps are the insertion bijections onto plain avoider sets, the
 excluded-element construction, the two recursive generators, and the
@@ -27,13 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InvalidInputError, UnrealizableWordError, UnsupportedClassError
-from .patterns import (
-    PatternSet,
-    _set_name,
-    canonical_pattern_set,
-    find_occurrence,
-    format_pattern_set,
-)
+from .patterns import PatternSet, canonical_pattern_set, find_occurrence, format_pattern_set
 from .perms import (
     Perm,
     check_step_word,
@@ -46,30 +41,6 @@ from .perms import (
     skew_sum,
     standardize,
 )
-
-
-@dataclass(frozen=True)
-class WilfFamily:
-    """Classes whose members correspond word-for-word; ``admits`` says which ballot words."""
-
-    members: tuple[str, ...]
-    canonical_member: str
-    admits: Callable[[str], bool]
-
-
-DESCENT_WORD_FAMILIES: tuple[WilfFamily, ...] = (
-    WilfFamily(("132,213", "132,312", "213,231", "231,312"), "132,213", lambda w: True),
-    WilfFamily(("132,213,312", "213,231,312"), "132,213,312", lambda w: "DU" not in w),
-    WilfFamily(("132,213,321", "132,312,321", "213,231,321"), "132,213,321",
-               lambda w: w.count("D") <= 1),
-)
-
-
-def _family_of(name: str) -> WilfFamily | None:
-    for family in DESCENT_WORD_FAMILIES:
-        if name in family.members:
-            return family
-    return None
 
 
 def _require_avoider(p: Perm, pset: PatternSet, where: str) -> None:
@@ -139,19 +110,36 @@ def _from_word_132_312(w: str) -> Perm:
     return tuple(out)
 
 
-# A pair class has one member per ballot word, so a member of a triple class
-# inside it is the pair's member with the same word.
-_BUILDERS = {
-    "132,213": _from_word_132_213,
-    "213,231": _from_word_213_231,
-    "231,312": _from_word_231_312,
-    "132,312": _from_word_132_312,
-    "132,213,312": _from_word_132_213,  # inside {132,213}
-    "132,213,321": _from_word_132_213,  # inside {132,213}
-    "213,231,312": _from_word_213_231,  # inside {213,231}
-    "213,231,321": _from_word_213_231,  # inside {213,231}
-    "132,312,321": _from_word_132_312,  # inside {132,312}
-}
+@dataclass(frozen=True)
+class WilfFamily:
+    """Classes whose members correspond word-for-word: each class name with
+    the builder of its member for a word; ``admits`` says which ballot words."""
+
+    members: dict[str, Callable[[str], Perm]]
+    admits: Callable[[str], bool]
+
+    @property
+    def canonical_member(self) -> str:
+        return next(iter(self.members))
+
+
+DESCENT_WORD_FAMILIES: tuple[WilfFamily, ...] = (
+    WilfFamily({"132,213": _from_word_132_213, "132,312": _from_word_132_312,
+                "213,231": _from_word_213_231, "231,312": _from_word_231_312},
+               lambda w: True),
+    WilfFamily({"132,213,312": _from_word_132_213, "213,231,312": _from_word_213_231},
+               lambda w: "DU" not in w),
+    WilfFamily({"132,213,321": _from_word_132_213, "132,312,321": _from_word_132_312,
+                "213,231,321": _from_word_213_231},
+               lambda w: w.count("D") <= 1),
+)
+
+
+def _family_of(name: str) -> WilfFamily | None:
+    for family in DESCENT_WORD_FAMILIES:
+        if name in family.members:
+            return family
+    return None
 
 
 def perm_from_word(patterns: PatternSet, w: str) -> Perm:
@@ -167,22 +155,23 @@ def perm_from_word(patterns: PatternSet, w: str) -> Perm:
 
 def _member_with_word(name: str, w: str) -> Perm:
     """``perm_from_word`` for the class whose canonical name is ``name``."""
-    if name not in _BUILDERS:
+    family = _family_of(name)
+    if family is None:
         raise UnsupportedClassError(
             f"{{{name}}} is not one of the descent-word-determined classes"
         )
     check_step_word(w)
     if not is_ballot_word(w):
         raise UnrealizableWordError(f"{w!r} is not a ballot word")
-    if not _family_of(name).admits(w):
+    if not family.admits(w):
         raise UnrealizableWordError(f"no member of {{{name}}} has descent word {w!r}")
-    return _BUILDERS[name](w)
+    return family.members[name](w)
 
 
 def wilf_transport(p: Perm, source: PatternSet, target: PatternSet) -> Perm:
     """Map a member of one class to the same-word member of an equivalent class."""
     src_set = canonical_pattern_set(source)
-    src = _set_name(src_set)
+    src = format_pattern_set(src_set)
     dst = format_pattern_set(target)
     src_family = _family_of(src)
     dst_family = _family_of(dst)
@@ -218,7 +207,6 @@ def from_dyck_prefix(w: str) -> Perm:
 
 _CLASS_132_321: PatternSet = ((1, 3, 2), (3, 2, 1))
 _CLASS_231_321: PatternSet = ((2, 3, 1), (3, 2, 1))
-_CLASS_213_321: PatternSet = ((2, 1, 3), (3, 2, 1))
 
 
 def insert_132_321(s: Perm) -> Perm:
@@ -359,7 +347,7 @@ def unique_members(patterns: PatternSet, n: int) -> list[Perm]:
     constructed explicitly; any other class raises ``UnsupportedClassError``."""
     if n < 0:
         raise InvalidInputError("unique_members needs n >= 0")
-    name = format_pattern_set(canonical_pattern_set(patterns))
+    name = format_pattern_set(patterns)
     if name not in UNIQUE_MEMBER_CLASSES:
         raise UnsupportedClassError(f"{{{name}}} has no explicit member construction")
     return UNIQUE_MEMBER_CLASSES[name](n)

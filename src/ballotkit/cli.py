@@ -161,8 +161,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         _check_formula_n(args.n_max)
         record = formulas.formula_sequence(pset, args.n_max)
         if record is None:
-            sys.stderr.write(f"no formula registered for {{{name}}}\n")
-            return EXIT_USAGE
+            raise _UsageError(f"no formula registered for {{{name}}}")
     elif args.method == "both":
         if formulas.get_spec(pset) is None:
             raise _UsageError(f"--method both has nothing to compare: {{{name}}} has no "

@@ -146,8 +146,6 @@ def enumerate_rows(
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
     mask, rest = _split(canonical_pattern_set(patterns))
-    if n == 0:
-        return np.empty((1, 0), dtype=np.uint8)
     if method == "oracle":
         return _kernels.oracle_fill(n, mask, ballot, 0, rest)
     if not rest:

@@ -2,19 +2,21 @@
 
 Each of the 41 length-3 classes (6 singles, 15 pairs, 20 triples) carries a
 registered rule: a closed form, a recurrence, or a finite list padded with
-zeros for the classes whose counts terminate.  Two classes ({213} and {312},
-the walk-enumerated ones) have no usable rule and are recorded with their
-reference prefix only.
+zeros for the classes whose counts terminate.  Two classes ({213} and {312})
+have no usable rule and are recorded with their reference prefix only.
 
 Every class also stores its published reference prefix verbatim, so counts
 can be diffed against the literature without network access.  The
 unrestricted class (no pattern) is outside that catalogue; its rule, the
 odd-order formula, is kept apart as ``UNRESTRICTED``.
 
-Two registered rules deliberately differ from a published expression that is
-off by one in n; those carry ``corrected=True`` and the superseded reading
-stays available through ``shifted_rule`` so the discrepancy itself is
-testable.  Both corrections are pinned by exhaustive enumeration.
+A class's ``FormulaSpec`` holds every fact about it: besides the rule and the
+prefix, the step of a recurrence (``recurrence_step`` iterates it) and the
+superseded reading of a corrected rule.  Two registered rules deliberately
+differ from a published expression that is off by one in n; those carry
+``corrected=True`` and the superseded reading stays available through
+``shifted_rule`` so the discrepancy itself is testable.  Both corrections are
+pinned by exhaustive enumeration.
 """
 from __future__ import annotations
 
@@ -44,6 +46,8 @@ class FormulaSpec:
     prefix: tuple[int, ...]            # published terms, starting at n = 1
     evaluator: Callable[[int], int] | None = None
     corrected: bool = False
+    recurrence: tuple[int, Callable[[Sequence[int]], int]] | None = None  # (history, step)
+    superseded: Callable[[int], int] | None = None  # the published reading, one step ahead in n
 
 
 def _finite(values: Sequence[int]) -> Callable[[int], int]:
@@ -77,7 +81,8 @@ _SPECS = [
     FormulaSpec("132", "closed-form", "catalan(floor(n/2)) * catalan(ceil(n/2))",
                 (1, 1, 2, 4, 10, 25, 70),
                 lambda n: catalan(n // 2) * catalan((n + 1) // 2),
-                corrected=True),
+                corrected=True,
+                superseded=lambda n: catalan((n + 1) // 2) * catalan((n + 2) // 2)),
     FormulaSpec("213", "reference-prefix-only", "no closed form registered",
                 (1, 1, 3, 6, 21, 52, 193)),
     FormulaSpec("231", "closed-form", "catalan(floor(n/2)) * catalan(ceil(n/2))",
@@ -112,7 +117,8 @@ _SPECS = [
                 (1, 1, 2, 3, 6, 10, 20), _middle_binomial),
     FormulaSpec("213,312", "closed-form", "sum of C(n-1, k) for k = 0..floor((n-1)/2)",
                 (1, 1, 3, 4, 11, 16, 42), _half_row_sum,
-                corrected=True),
+                corrected=True,
+                superseded=lambda n: sum(comb(n, k) for k in range(n // 2 + 1))),
     FormulaSpec("213,321", "closed-form", "C(n, 2) for n >= 2; 1 at n = 1",
                 (1, 1, 3, 6, 10, 15, 21),
                 lambda n: 1 if n == 1 else comb(n, 2)),
@@ -123,7 +129,8 @@ _SPECS = [
                 lambda n: 1 if n == 1 else 2 ** (n - 2)),
     FormulaSpec("312,321", "closed-form", "3 * 2^(n-3) for n >= 3; 1 at n <= 2",
                 (1, 1, 3, 6, 12, 24, 48),
-                lambda n: 1 if n <= 2 else 3 * 2 ** (n - 3)),
+                lambda n: 1 if n <= 2 else 3 * 2 ** (n - 3),
+                recurrence=(3, lambda h: 2 * h[-1])),
 
     FormulaSpec("123,132,213", "closed-form", "1 for all n",
                 (1, 1, 1, 1, 1, 1), lambda n: 1),
@@ -168,7 +175,8 @@ _SPECS = [
     FormulaSpec("213,312,321", "closed-form", "n for n >= 3; 1 at n <= 2",
                 (1, 1, 3, 4, 5, 6), lambda n: 1 if n <= 2 else n),
     FormulaSpec("231,312,321", "recurrence", "a(n) = a(n-1) + a(n-2), a(1) = a(2) = 1",
-                (1, 1, 2, 3, 5, 8), _fib),
+                (1, 1, 2, 3, 5, 8), _fib,
+                recurrence=(2, lambda h: h[-1] + h[-2])),
 ]
 
 REGISTRY: dict[str, FormulaSpec] = {spec.class_name: spec for spec in _SPECS}
@@ -197,24 +205,10 @@ UNRESTRICTED = FormulaSpec(
     _odd_order,
 )
 
-#: Step rules usable once enough history exists: class -> (min history, step).
-_RECURRENCES: dict[str, tuple[int, Callable[[Sequence[int]], int]]] = {
-    "231,312,321": (2, lambda h: h[-1] + h[-2]),
-    "312,321": (3, lambda h: 2 * h[-1]),
-}
-
-#: Superseded published expressions for the two corrected classes; each gives
-#: the registered sequence shifted by one (value at n equals the true count
-#: at n + 1).
-_SHIFTED_RULES: dict[str, Callable[[int], int]] = {
-    "132": lambda n: catalan((n + 1) // 2) * catalan((n + 2) // 2),
-    "213,312": lambda n: sum(comb(n, k) for k in range(n // 2 + 1)),
-}
-
 
 def get_spec(patterns: PatternSet) -> FormulaSpec | None:
     """The registered rule for a class, or None when it has none."""
-    name = format_pattern_set(canonical_pattern_set(patterns))
+    name = format_pattern_set(patterns)
     return UNRESTRICTED if name == UNRESTRICTED.class_name else REGISTRY.get(name)
 
 
@@ -253,23 +247,33 @@ def reference_prefix(patterns: PatternSet) -> SequenceRecord | None:
 
 
 def recurrence_step(patterns: PatternSet, history: Sequence[int]) -> int:
-    """The next term after ``history`` (counts from n = 1) by registered recurrence."""
-    name = format_pattern_set(canonical_pattern_set(patterns))
-    if name not in _RECURRENCES:
-        raise UnsupportedClassError(f"no recurrence registered for {{{name}}}")
-    min_history, step = _RECURRENCES[name]
+    """The next term after ``history`` (counts from n = 1) by registered recurrence.
+
+    >>> recurrence_step(((2, 3, 1), (3, 1, 2), (3, 2, 1)), (1, 1, 2))
+    3
+    """
+    spec = get_spec(patterns)
+    if spec is None or spec.recurrence is None:
+        raise UnsupportedClassError(
+            f"no recurrence registered for {{{format_pattern_set(patterns)}}}")
+    min_history, step = spec.recurrence
     if len(history) < min_history:
         raise InvalidInputError(
-            f"recurrence for {{{name}}} needs at least {min_history} terms of history"
+            f"recurrence for {{{spec.class_name}}} needs at least {min_history} terms of history"
         )
     return step(tuple(history))
 
 
 def shifted_rule(patterns: PatternSet, n: int) -> int:
-    """Evaluate the superseded off-by-one reading for a corrected class."""
-    name = format_pattern_set(canonical_pattern_set(patterns))
-    if name not in _SHIFTED_RULES:
-        raise UnsupportedClassError(f"{{{name}}} has no recorded superseded rule")
+    """Evaluate the superseded off-by-one reading for a corrected class.
+
+    >>> shifted_rule(((1, 3, 2),), 5) == formula_count(((1, 3, 2),), 6)
+    True
+    """
+    spec = get_spec(patterns)
+    if spec is None or spec.superseded is None:
+        raise UnsupportedClassError(
+            f"{{{format_pattern_set(patterns)}}} has no recorded superseded rule")
     if n < 1:
         raise InvalidInputError("shifted_rule is defined for n >= 1")
-    return _SHIFTED_RULES[name](n)
+    return spec.superseded(n)

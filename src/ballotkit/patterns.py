@@ -49,12 +49,7 @@ def parse_pattern_set(text: str) -> PatternSet:
 
 def format_pattern_set(pset: PatternSet) -> str:
     """Canonical textual form, e.g. "132,213"; "" for the unrestricted class."""
-    return _set_name(canonical_pattern_set(pset))
-
-
-def _set_name(pset: PatternSet) -> str:
-    """The textual form of a pattern set that is already canonical."""
-    return ",".join("".join(str(v) for v in q) for q in pset)
+    return ",".join("".join(str(v) for v in q) for q in canonical_pattern_set(pset))
 
 
 @cache

@@ -119,14 +119,17 @@ def suite_formulas(n_max: int = 12, caps: Caps = Caps()) -> list[dict]:
     ]
 
     def recurrence_consistency():
-        # the seed terms are checked too, so that a range too short to iterate checks something
-        for label, name, history in (("fib", "231,312,321", [1, 1]),
-                                     ("2x", "312,321", [1, 1, 3])):
-            pset = parse_pattern_set(name)
+        # seeded from the published prefix, not the rule, and the seed terms are
+        # checked too, so that a range too short to iterate checks something
+        for spec in formulas.REGISTRY.values():
+            if spec.recurrence is None:
+                continue
+            pset = parse_pattern_set(spec.class_name)
+            history = list(spec.prefix[:spec.recurrence[0]])
             while len(history) < n_max:
                 history.append(formulas.recurrence_step(pset, history))
             for n, term in enumerate(history, 1):
-                assert term == formulas.formula_count(pset, n), f"{label} at n={n}"
+                assert term == formulas.formula_count(pset, n), f"{spec.class_name} at n={n}"
         return f"recurrences iterated to n={n_max}"
 
     rows.append(_named_check("recurrence-consistency", recurrence_consistency))
@@ -145,7 +148,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
     def dyck_roundtrip():
         pset = parse_pattern_set("132,213")
         for n in range(1, n_max + 1):
-            listing = enumerate_pruned(n, pset, caps=caps)
+            listing = members(pset, n)
             assert len(listing) == comb(n - 1, (n - 1) // 2), f"count at n={n}"
             words = set()
             for p in listing:
@@ -202,8 +205,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         # the one avoider of length 1 is ballot, so none is excluded there
         pset = parse_pattern_set("213,321")
         for n in range(1, oracle_top + 1):
-            excluded = (set(enumerate_oracle(n, pset, ballot=False, caps=caps))
-                        - set(enumerate_oracle(n, pset, caps=caps)))
+            excluded = set(members(pset, n, ballot=False)) - set(members(pset, n))
             expected = {bijections.excluded_element_213_321(n)} if n > 1 else set()
             assert excluded == expected, f"213,321 excluded element at n={n}"
         return f"checked to n={oracle_top}"
@@ -217,8 +219,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         ):
             pset = parse_pattern_set(name)
             for n in range(1, n_max + 1):
-                listing = enumerate_pruned(n, pset, caps=caps)
-                assert sorted(generate(n)) == listing, f"{name} generation at n={n}"
+                assert sorted(generate(n)) == members(pset, n), f"{name} generation at n={n}"
         return f"generators matched to n={n_max}"
 
     rows.append(_named_check("generators", generators))

@@ -92,7 +92,7 @@ def _fails_only(row, failure):
     ("132,312,321", "_from_word_213_231", "transport-132,213,321"),
 ])
 def test_transport_check_catches_a_wrong_builder(monkeypatch, name, wrong, row):
-    monkeypatch.setitem(bijections._BUILDERS, name, getattr(bijections, wrong))
+    monkeypatch.setitem(bijections._family_of(name).members, name, getattr(bijections, wrong))
     _fails_only(row, f"{name} builder at n=3")
 
 

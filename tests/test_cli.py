@@ -152,6 +152,7 @@ def test_count_formula_unavailable(capsys):
                        "--method", "formula")
     assert code == 2
     assert "no formula" in err
+    assert err == "error: no formula registered for {213}\n"
 
 
 def test_count_json(capsys):
@@ -408,13 +409,27 @@ def test_excluded_row_checks_length_1(monkeypatch):
 
 def test_recurrence_row_checks_its_seed_terms(monkeypatch):
     # a rule that disagrees with a seed term fails even where nothing is iterated
-    for name, n, label in (("231,312,321", 2, "fib"), ("312,321", 3, "2x")):
+    for name, n in (("231,312,321", 2), ("312,321", 3)):
         spec = formulas.REGISTRY[name]
         monkeypatch.setitem(formulas.REGISTRY, name, dataclasses.replace(
             spec, evaluator=lambda m, spec=spec, n=n: spec.evaluator(m) + (m == n)))
         for n_max in (1, 2):
             rows = {r.get("check"): r for r in verification.run_suite("formulas", n_max)["rows"]}
-            assert rows["recurrence-consistency"].get("failure") == f"{label} at n={n}"
+            assert rows["recurrence-consistency"].get("failure") == f"{name} at n={n}"
+        monkeypatch.undo()
+
+
+def test_recurrence_row_catches_a_wrong_step(monkeypatch):
+    # the row iterates every registered recurrence; each step here is off at n = 5
+    for name in ("231,312,321", "312,321"):
+        spec = formulas.REGISTRY[name]
+        seed, step = spec.recurrence
+        monkeypatch.setitem(formulas.REGISTRY, name, dataclasses.replace(
+            spec, recurrence=(seed, lambda h, step=step: step(h) + (len(h) == 4))))
+        rows = {r.get("check"): r for r in verification.run_suite("formulas", 8)["rows"]}
+        assert rows["recurrence-consistency"].get("failure") == f"{name} at n=5"
+        rows = {r.get("check"): r for r in verification.run_suite("formulas", 4)["rows"]}
+        assert rows["recurrence-consistency"]["status"] == "pass"
         monkeypatch.undo()
 
 

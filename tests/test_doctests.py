@@ -1,20 +1,16 @@
 import doctest
 
+import pytest
+
 import ballotkit.bijections
+import ballotkit.formulas
 import ballotkit.patterns
 import ballotkit.perms
 
 
-def test_perms_doctests():
-    failures, tried = doctest.testmod(ballotkit.perms)
-    assert tried > 0 and failures == 0
-
-
-def test_patterns_doctests():
-    failures, tried = doctest.testmod(ballotkit.patterns)
-    assert tried > 0 and failures == 0
-
-
-def test_bijections_doctests():
-    failures, tried = doctest.testmod(ballotkit.bijections)
+@pytest.mark.parametrize("module", [
+    ballotkit.bijections, ballotkit.formulas, ballotkit.patterns, ballotkit.perms,
+], ids=lambda module: module.__name__.rpartition(".")[2])
+def test_doctests(module):
+    failures, tried = doctest.testmod(module)
     assert tried > 0 and failures == 0

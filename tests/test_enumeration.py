@@ -302,8 +302,20 @@ def test_oracle_rows_are_kept_read_only():
         assert rows.shape == (math.factorial(n), n) and not rows.flags.writeable, n
     assert _kernels._lex_rows(3).tolist() == [list(p) for p in itertools.permutations((1, 2, 3))]
     # the blocks of a length, in order, are every permutation in lex order
-    blocks = list(_kernels._oracle_blocks(8))
+    blocks = [_kernels._block(prefix, tail) for prefix, tail in _kernels._blocks(8)]
     assert len(blocks) == 8 and np.array_equal(np.concatenate(blocks), _kernels._lex_rows(8))
+
+
+def test_kernels_answer_length_0():
+    # the empty permutation is ballot and contains nothing, whatever the class
+    for mask in range(64):
+        for ballot in (True, False):
+            for rest in ((), ((1, 2),)):
+                for rows in (_kernels.oracle_fill(0, mask, ballot, 0, rest),
+                             _kernels.pruned_fill(0, mask, ballot, rest)):
+                    assert rows.shape == (1, 0), (mask, ballot, rest)
+    census = _kernels.oracle_census(0)
+    assert census[0, 1] == census.sum() == 1
 
 
 def test_oracle_tests_longer_patterns_on_mask_members_only(monkeypatch):
