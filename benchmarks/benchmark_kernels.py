@@ -14,7 +14,9 @@ refused listing of every ballot permutation of length 11, both by the walk
 it from the class counts before any row is built, as ``enumerate`` does, the
 vectorized oracle listing one class from every permutation of length 9 and
 10, the oracle listing of plain {132,1234} of length 9 through
-``enumerate_rows`` (the 1234 test runs on the {132} avoiders alone), the
+``enumerate_rows`` (the 1234 test runs on the {132} avoiders alone) and of
+plain {1234} of length 9 (no length-3 pattern narrows it, so the 1234 test
+runs on every permutation), the
 oracle listing all 64 classes of length 8, ballot and plain, from
 one shared classification, the oracle census of length 8, and the
 bijection suite of ``verify`` to n = 8 and n = 10 (its rows list from the
@@ -61,6 +63,7 @@ CASES = [
     ("oracle_fill {132,213} n=9", "oracle", "132,213", 9, True),
     ("oracle_fill {132,213} n=10", "oracle", "132,213", 10, True),
     ("oracle rows {132,1234} plain n=9", "oracle_rows", "132,1234", 9, False),
+    ("oracle rows {1234} plain n=9", "oracle_rows", "1234", 9, False),
     ("oracle_fill every class n=8", "every", "", 8, True),
     ("oracle_census n=8", "census", "", 8, True),
     ("suite_bijections n=8", "bijections", "", 8, True),

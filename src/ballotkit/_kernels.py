@@ -45,7 +45,8 @@ numpy.
   position triples whose comparison codes a lookup table maps to patterns,
   and its ballot flag, from a cumulative sum of +1/-1 steps.  A call builds
   only the rows of each block that its codes select, and drops those that
-  contain a longer pattern with ``patterns.avoids_all``, block by block.
+  contain a pattern of another length, block by block, with a whole-array
+  test of every choice of positions (``_contains_any``).
   Every permutation of a length up to n = ``_FREE_MAX`` = 9 is kept as one
   read-only row array (3.3 MB at n = 9), each built from the one below, to
   serve as block tails.  Up to n = ``_FREE_MAX`` + 1 = 10 the codes of a
@@ -65,7 +66,7 @@ import math
 import numpy as np
 
 from .errors import CapExceededError
-from .patterns import LENGTH3_PATTERNS, avoids_all, format_pattern_set
+from .patterns import LENGTH3_PATTERNS, format_pattern_set
 
 #: Most states ``pruned_count`` keeps for one length (under 20 MB of tables).
 MAX_STATES = 100_000
@@ -426,12 +427,26 @@ def _block_codes(n):
     return (_classify(_block(prefix, tail)) for prefix, tail in _blocks(n))
 
 
+def _contains_any(rows, patterns):
+    """For each row, whether it contains a pattern of ``patterns``: for some
+    pattern q and some choice of len(q) positions, the entries there, read in
+    the order of q's values, increase, so they compare pairwise as q's do."""
+    cols = np.ascontiguousarray(rows.T)
+    hit = np.zeros(len(rows), dtype=bool)
+    for q in patterns:
+        by_value = sorted(range(len(q)), key=q.__getitem__)
+        for pos in itertools.combinations(range(len(cols)), len(q)):
+            chain = [cols[pos[i]] for i in by_value]
+            hit |= np.logical_and.reduce([lo < hi for lo, hi in zip(chain, chain[1:])])
+    return hit
+
+
 def oracle_fill(n, mask, ballot_req, first, rest=()):
     """Members of the class at length n as an (m, n) uint8 array, lex order.
 
     Keeps the permutations of 1..n that contain no pattern of ``mask`` and,
     when ``ballot_req`` is set, are ballot; then, block by block, those
-    that also avoid every pattern of ``rest`` (``patterns.avoids_all``).
+    that also avoid every pattern of ``rest`` (``_contains_any``).
     ``first`` > 0 keeps the blocks whose prefix starts with that value.
     """
     forbidden = mask | _BALLOT_BIT if ballot_req else mask
@@ -446,10 +461,7 @@ def oracle_fill(n, mask, ballot_req, first, rest=()):
             continue
         rows = _block(prefix, members)
         if rest:
-            # each row as a tuple, which builds and indexes faster than a list;
-            # zip of no columns would give no row at all for the empty one
-            perms = zip(*rows.T.tolist()) if n else [()]
-            rows = rows.compress([avoids_all(p, rest) for p in perms], axis=0)
+            rows = rows.compress(~_contains_any(rows, rest), axis=0)
         blocks.append(rows)
     return np.concatenate(blocks)
 

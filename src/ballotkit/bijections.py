@@ -180,6 +180,8 @@ def wilf_transport(p: Perm, source: PatternSet, target: PatternSet) -> Perm:
             f"{{{src}}} and {{{dst}}} are not word-equivalent classes"
         )
     _require_member(p, src_set, "wilf_transport")
+    if not p:  # the one member of length 0 of every class, which has no word
+        return ()
     return _member_with_word(dst, descent_word(p))
 
 
@@ -189,10 +191,15 @@ _DYCK_CLASS: PatternSet = ((1, 3, 2), (2, 1, 3))
 def to_dyck_prefix(p: Perm) -> str:
     """The nonnegative lattice word of a {132,213}-avoiding ballot permutation.
 
+    A word of length n - 1 stands for a member of length n >= 1, so the
+    empty permutation has none.
+
     >>> to_dyck_prefix((4, 5, 6, 3, 1, 2))
     'UUDDU'
     """
     _require_member(p, _DYCK_CLASS, "to_dyck_prefix")
+    if not p:
+        raise InvalidInputError("to_dyck_prefix: the empty permutation has no lattice word")
     return descent_word(p)
 
 

@@ -5,24 +5,28 @@ registered rule: a closed form, a recurrence, or a finite list padded with
 zeros for the classes whose counts terminate.  Two classes ({213} and {312})
 have no usable rule and are recorded with their reference prefix only.
 
-Every class also stores its published reference prefix verbatim, so counts
-can be diffed against the literature without network access.  The
+Each rule is stated once, with its kind, its text, its evaluator and, for a
+recurrence, its step, and classes with equal counts share one rule: 39
+classes share 21 rules, and a test pins that two classes have equal counts
+exactly when they share a rule.  A finite list's text is derived from its
+values.  Every class also stores its published reference prefix verbatim,
+so counts can be diffed against the literature without network access.  The
 unrestricted class (no pattern) is outside that catalogue; its rule, the
 odd-order formula, is kept apart as ``UNRESTRICTED``.
 
-A class's ``FormulaSpec`` holds every fact about it: besides the rule and the
-prefix, the step of a recurrence (``recurrence_step`` iterates it) and the
+A class's ``FormulaSpec`` holds every fact about it: its rule, recurrence
+step included (``recurrence_step`` iterates it), its prefix and the
 superseded reading of a corrected rule.  Two registered rules deliberately
-differ from a published expression that is off by one in n; those carry
-``corrected=True`` and the superseded reading stays available through
-``shifted_rule`` so the discrepancy itself is testable.  Both corrections are
-pinned by exhaustive enumeration.
+differ from a published expression that is off by one in n; those classes
+carry ``corrected=True`` and the superseded reading stays available through
+``shifted_rule`` so the discrepancy itself is testable.  Both corrections
+are pinned by exhaustive enumeration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .enumeration import SequenceRecord
 from .errors import InvalidInputError, UnsupportedClassError
@@ -50,13 +54,22 @@ class FormulaSpec:
     superseded: Callable[[int], int] | None = None  # the published reading, one step ahead in n
 
 
-def _finite(values: Sequence[int]) -> Callable[[int], int]:
-    frozen = tuple(values)
+class _Rule(NamedTuple):
+    """One counting rule, stated once for every class that it counts."""
+
+    text: str
+    evaluator: Callable[[int], int] | None
+    kind: str = "closed-form"
+    recurrence: tuple[int, Callable[[Sequence[int]], int]] | None = None
+
+
+def _finite(*values: int) -> _Rule:
+    """The rule of counts that are ``values`` from n = 1 and 0 after them."""
 
     def rule(n: int) -> int:
-        return frozen[n - 1] if n <= len(frozen) else 0
+        return values[n - 1] if n <= len(values) else 0
 
-    return rule
+    return _Rule(",".join(map(str, values)) + " then 0", rule, "finite-list")
 
 
 def _fib(n: int) -> int:
@@ -66,117 +79,86 @@ def _fib(n: int) -> int:
     return a
 
 
-def _middle_binomial(n: int) -> int:
-    return comb(n - 1, (n - 1) // 2)
+def _spec(name: str, prefix: tuple[int, ...], rule: _Rule, *, corrected: bool = False,
+          superseded: Callable[[int], int] | None = None) -> FormulaSpec:
+    return FormulaSpec(name, rule.kind, rule.text, prefix, rule.evaluator, corrected,
+                       rule.recurrence, superseded)
 
 
-def _half_row_sum(n: int) -> int:
-    return sum(comb(n - 1, k) for k in range((n - 1) // 2 + 1))
-
+# The rules that several classes share; a rule of one class is stated in its row.
+_NO_RULE = _Rule("no closed form registered", None, "reference-prefix-only")
+_CATALAN_PRODUCT = _Rule("catalan(floor(n/2)) * catalan(ceil(n/2))",
+                         lambda n: catalan(n // 2) * catalan((n + 1) // 2))
+_ONE = _Rule("1 for all n", lambda n: 1)
+_MIDDLE_BINOMIAL = _Rule("C(n-1, floor((n-1)/2))", lambda n: comb(n - 1, (n - 1) // 2))
+_THREE_ONES = _finite(1, 1, 1)
+_ONE_ONE_TWO = _finite(1, 1, 2)
+_HALF_UP = _Rule("floor((n+1)/2)", lambda n: (n + 1) // 2)
+_N_MINUS_ONE = _Rule("n - 1 for n >= 2; 1 at n = 1", lambda n: 1 if n == 1 else n - 1)
 
 _SPECS = [
-    FormulaSpec("123", "closed-form", "catalan(ceil(n/2))",
-                (1, 1, 2, 2, 5, 5, 14, 14),
-                lambda n: catalan((n + 1) // 2)),
-    FormulaSpec("132", "closed-form", "catalan(floor(n/2)) * catalan(ceil(n/2))",
-                (1, 1, 2, 4, 10, 25, 70),
-                lambda n: catalan(n // 2) * catalan((n + 1) // 2),
-                corrected=True,
-                superseded=lambda n: catalan((n + 1) // 2) * catalan((n + 2) // 2)),
-    FormulaSpec("213", "reference-prefix-only", "no closed form registered",
-                (1, 1, 3, 6, 21, 52, 193)),
-    FormulaSpec("231", "closed-form", "catalan(floor(n/2)) * catalan(ceil(n/2))",
-                (1, 1, 2, 4, 10, 25, 70),
-                lambda n: catalan(n // 2) * catalan((n + 1) // 2)),
-    FormulaSpec("312", "reference-prefix-only", "no closed form registered",
-                (1, 1, 3, 6, 21, 52, 193)),
-    FormulaSpec("321", "closed-form", "3/(n+1) * C(2n-2, n-2) for n >= 2; 1 at n = 1",
-                (1, 1, 3, 9, 28, 90, 297),
-                lambda n: 1 if n == 1 else 3 * comb(2 * n - 2, n - 2) // (n + 1)),
+    _spec("123", (1, 1, 2, 2, 5, 5, 14, 14),
+          _Rule("catalan(ceil(n/2))", lambda n: catalan((n + 1) // 2))),
+    _spec("132", (1, 1, 2, 4, 10, 25, 70), _CATALAN_PRODUCT, corrected=True,
+          superseded=lambda n: catalan((n + 1) // 2) * catalan((n + 2) // 2)),
+    _spec("213", (1, 1, 3, 6, 21, 52, 193), _NO_RULE),
+    _spec("231", (1, 1, 2, 4, 10, 25, 70), _CATALAN_PRODUCT),
+    _spec("312", (1, 1, 3, 6, 21, 52, 193), _NO_RULE),
+    _spec("321", (1, 1, 3, 9, 28, 90, 297),
+          _Rule("3/(n+1) * C(2n-2, n-2) for n >= 2; 1 at n = 1",
+                lambda n: 1 if n == 1 else 3 * comb(2 * n - 2, n - 2) // (n + 1))),
 
-    FormulaSpec("123,132", "closed-form", "1 for all n",
-                (1, 1, 1, 1, 1, 1, 1), lambda n: 1),
-    FormulaSpec("123,213", "closed-form", "2 for odd n >= 3; 1 otherwise",
-                (1, 1, 2, 1, 2, 1, 2),
-                lambda n: 2 if n >= 3 and n % 2 == 1 else 1),
-    FormulaSpec("123,231", "finite-list", "1,1,1 then 0",
-                (1, 1, 1, 0, 0, 0, 0), _finite((1, 1, 1))),
-    FormulaSpec("123,312", "finite-list", "1,1,2 then 0",
-                (1, 1, 2, 0, 0, 0, 0), _finite((1, 1, 2))),
-    FormulaSpec("123,321", "finite-list", "1,1,2,2 then 0",
-                (1, 1, 2, 2, 0, 0, 0), _finite((1, 1, 2, 2))),
-    FormulaSpec("132,213", "closed-form", "C(n-1, floor((n-1)/2))",
-                (1, 1, 2, 3, 6, 10, 20), _middle_binomial),
-    FormulaSpec("132,231", "closed-form", "1 for all n",
-                (1, 1, 1, 1, 1, 1, 1), lambda n: 1),
-    FormulaSpec("132,312", "closed-form", "C(n-1, floor((n-1)/2))",
-                (1, 1, 2, 3, 6, 10, 20), _middle_binomial),
-    FormulaSpec("132,321", "closed-form", "C(n-1, 2) + 1",
-                (1, 1, 2, 4, 7, 11, 16), lambda n: comb(n - 1, 2) + 1),
-    FormulaSpec("213,231", "closed-form", "C(n-1, floor((n-1)/2))",
-                (1, 1, 2, 3, 6, 10, 20), _middle_binomial),
-    FormulaSpec("213,312", "closed-form", "sum of C(n-1, k) for k = 0..floor((n-1)/2)",
-                (1, 1, 3, 4, 11, 16, 42), _half_row_sum,
-                corrected=True,
-                superseded=lambda n: sum(comb(n, k) for k in range(n // 2 + 1))),
-    FormulaSpec("213,321", "closed-form", "C(n, 2) for n >= 2; 1 at n = 1",
-                (1, 1, 3, 6, 10, 15, 21),
-                lambda n: 1 if n == 1 else comb(n, 2)),
-    FormulaSpec("231,312", "closed-form", "C(n-1, floor((n-1)/2))",
-                (1, 1, 2, 3, 6, 10, 20), _middle_binomial),
-    FormulaSpec("231,321", "closed-form", "2^(n-2) for n >= 2; 1 at n = 1",
-                (1, 1, 2, 4, 8, 16, 32),
-                lambda n: 1 if n == 1 else 2 ** (n - 2)),
-    FormulaSpec("312,321", "closed-form", "3 * 2^(n-3) for n >= 3; 1 at n <= 2",
-                (1, 1, 3, 6, 12, 24, 48),
-                lambda n: 1 if n <= 2 else 3 * 2 ** (n - 3),
-                recurrence=(3, lambda h: 2 * h[-1])),
+    _spec("123,132", (1, 1, 1, 1, 1, 1, 1), _ONE),
+    _spec("123,213", (1, 1, 2, 1, 2, 1, 2),
+          _Rule("2 for odd n >= 3; 1 otherwise", lambda n: 2 if n >= 3 and n % 2 == 1 else 1)),
+    _spec("123,231", (1, 1, 1, 0, 0, 0, 0), _THREE_ONES),
+    _spec("123,312", (1, 1, 2, 0, 0, 0, 0), _ONE_ONE_TWO),
+    _spec("123,321", (1, 1, 2, 2, 0, 0, 0), _finite(1, 1, 2, 2)),
+    _spec("132,213", (1, 1, 2, 3, 6, 10, 20), _MIDDLE_BINOMIAL),
+    _spec("132,231", (1, 1, 1, 1, 1, 1, 1), _ONE),
+    _spec("132,312", (1, 1, 2, 3, 6, 10, 20), _MIDDLE_BINOMIAL),
+    _spec("132,321", (1, 1, 2, 4, 7, 11, 16),
+          _Rule("C(n-1, 2) + 1", lambda n: comb(n - 1, 2) + 1)),
+    _spec("213,231", (1, 1, 2, 3, 6, 10, 20), _MIDDLE_BINOMIAL),
+    _spec("213,312", (1, 1, 3, 4, 11, 16, 42),
+          _Rule("sum of C(n-1, k) for k = 0..floor((n-1)/2)",
+                lambda n: sum(comb(n - 1, k) for k in range((n - 1) // 2 + 1))),
+          corrected=True, superseded=lambda n: sum(comb(n, k) for k in range(n // 2 + 1))),
+    _spec("213,321", (1, 1, 3, 6, 10, 15, 21),
+          _Rule("C(n, 2) for n >= 2; 1 at n = 1", lambda n: 1 if n == 1 else comb(n, 2))),
+    _spec("231,312", (1, 1, 2, 3, 6, 10, 20), _MIDDLE_BINOMIAL),
+    _spec("231,321", (1, 1, 2, 4, 8, 16, 32),
+          _Rule("2^(n-2) for n >= 2; 1 at n = 1", lambda n: 1 if n == 1 else 2 ** (n - 2))),
+    _spec("312,321", (1, 1, 3, 6, 12, 24, 48),
+          _Rule("3 * 2^(n-3) for n >= 3; 1 at n <= 2", lambda n: 1 if n <= 2 else 3 * 2 ** (n - 3),
+                recurrence=(3, lambda h: 2 * h[-1]))),
 
-    FormulaSpec("123,132,213", "closed-form", "1 for all n",
-                (1, 1, 1, 1, 1, 1), lambda n: 1),
-    FormulaSpec("123,132,231", "finite-list", "1,1 then 0",
-                (1, 1, 0, 0, 0, 0), _finite((1, 1))),
-    FormulaSpec("123,132,312", "finite-list", "1,1,1 then 0",
-                (1, 1, 1, 0, 0, 0), _finite((1, 1, 1))),
+    _spec("123,132,213", (1, 1, 1, 1, 1, 1), _ONE),
+    _spec("123,132,231", (1, 1, 0, 0, 0, 0), _finite(1, 1)),
+    _spec("123,132,312", (1, 1, 1, 0, 0, 0), _THREE_ONES),
     # The published row for this class stops a term early: 3412 is a ballot
     # avoider of all three patterns, so the counts are 1,1,1,1 then 0.  The
     # registered rule follows the enumeration; the prefix stays as printed.
-    FormulaSpec("123,132,321", "finite-list", "1,1,1,1 then 0",
-                (1, 1, 1, 0, 0, 0), _finite((1, 1, 1, 1)),
-                corrected=True),
-    FormulaSpec("123,213,231", "finite-list", "1,1,1 then 0",
-                (1, 1, 1, 0, 0, 0), _finite((1, 1, 1))),
-    FormulaSpec("123,213,312", "finite-list", "1,1,2 then 0",
-                (1, 1, 2, 0, 0, 0), _finite((1, 1, 2))),
-    FormulaSpec("123,213,321", "finite-list", "1,1,2,1 then 0",
-                (1, 1, 2, 1, 0, 0), _finite((1, 1, 2, 1))),
-    FormulaSpec("123,231,312", "finite-list", "1,1,1 then 0",
-                (1, 1, 1, 0, 0, 0), _finite((1, 1, 1))),
-    FormulaSpec("123,231,321", "finite-list", "1,1,1 then 0",
-                (1, 1, 1, 0, 0, 0), _finite((1, 1, 1))),
-    FormulaSpec("123,312,321", "finite-list", "1,1,2 then 0",
-                (1, 1, 2, 0, 0, 0), _finite((1, 1, 2))),
-    FormulaSpec("132,213,231", "closed-form", "1 for all n",
-                (1, 1, 1, 1, 1, 1), lambda n: 1),
-    FormulaSpec("132,213,312", "closed-form", "floor((n+1)/2)",
-                (1, 1, 2, 2, 3, 3), lambda n: (n + 1) // 2),
-    FormulaSpec("132,213,321", "closed-form", "n - 1 for n >= 2; 1 at n = 1",
-                (1, 1, 2, 3, 4, 5), lambda n: 1 if n == 1 else n - 1),
-    FormulaSpec("132,231,312", "closed-form", "1 for all n",
-                (1, 1, 1, 1, 1, 1), lambda n: 1),
-    FormulaSpec("132,231,321", "closed-form", "1 for all n",
-                (1, 1, 1, 1, 1, 1), lambda n: 1),
-    FormulaSpec("132,312,321", "closed-form", "n - 1 for n >= 2; 1 at n = 1",
-                (1, 1, 2, 3, 4, 5), lambda n: 1 if n == 1 else n - 1),
-    FormulaSpec("213,231,312", "closed-form", "floor((n+1)/2)",
-                (1, 1, 2, 2, 3, 3), lambda n: (n + 1) // 2),
-    FormulaSpec("213,231,321", "closed-form", "n - 1 for n >= 2; 1 at n = 1",
-                (1, 1, 2, 3, 4, 5), lambda n: 1 if n == 1 else n - 1),
-    FormulaSpec("213,312,321", "closed-form", "n for n >= 3; 1 at n <= 2",
-                (1, 1, 3, 4, 5, 6), lambda n: 1 if n <= 2 else n),
-    FormulaSpec("231,312,321", "recurrence", "a(n) = a(n-1) + a(n-2), a(1) = a(2) = 1",
-                (1, 1, 2, 3, 5, 8), _fib,
-                recurrence=(2, lambda h: h[-1] + h[-2])),
+    _spec("123,132,321", (1, 1, 1, 0, 0, 0), _finite(1, 1, 1, 1), corrected=True),
+    _spec("123,213,231", (1, 1, 1, 0, 0, 0), _THREE_ONES),
+    _spec("123,213,312", (1, 1, 2, 0, 0, 0), _ONE_ONE_TWO),
+    _spec("123,213,321", (1, 1, 2, 1, 0, 0), _finite(1, 1, 2, 1)),
+    _spec("123,231,312", (1, 1, 1, 0, 0, 0), _THREE_ONES),
+    _spec("123,231,321", (1, 1, 1, 0, 0, 0), _THREE_ONES),
+    _spec("123,312,321", (1, 1, 2, 0, 0, 0), _ONE_ONE_TWO),
+    _spec("132,213,231", (1, 1, 1, 1, 1, 1), _ONE),
+    _spec("132,213,312", (1, 1, 2, 2, 3, 3), _HALF_UP),
+    _spec("132,213,321", (1, 1, 2, 3, 4, 5), _N_MINUS_ONE),
+    _spec("132,231,312", (1, 1, 1, 1, 1, 1), _ONE),
+    _spec("132,231,321", (1, 1, 1, 1, 1, 1), _ONE),
+    _spec("132,312,321", (1, 1, 2, 3, 4, 5), _N_MINUS_ONE),
+    _spec("213,231,312", (1, 1, 2, 2, 3, 3), _HALF_UP),
+    _spec("213,231,321", (1, 1, 2, 3, 4, 5), _N_MINUS_ONE),
+    _spec("213,312,321", (1, 1, 3, 4, 5, 6),
+          _Rule("n for n >= 3; 1 at n <= 2", lambda n: 1 if n <= 2 else n)),
+    _spec("231,312,321", (1, 1, 2, 3, 5, 8),
+          _Rule("a(n) = a(n-1) + a(n-2), a(1) = a(2) = 1", _fib, "recurrence",
+                (2, lambda h: h[-1] + h[-2]))),
 ]
 
 REGISTRY: dict[str, FormulaSpec] = {spec.class_name: spec for spec in _SPECS}
@@ -199,10 +181,9 @@ def _odd_order(n: int) -> int:
 #: The unrestricted class, outside the catalogue above: ballot permutations
 #: are equinumerous with permutations of odd order (Bernardi, Duplantier,
 #: Nadeau 2010).  Its prefix is that sequence, OEIS A000246, from n = 1.
-UNRESTRICTED = FormulaSpec(
-    "", "closed-form", "((n-1)!!)^2 for even n; n * ((n-2)!!)^2 for odd n",
-    (1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025),
-    _odd_order,
+UNRESTRICTED = _spec(
+    "", (1, 1, 3, 9, 45, 225, 1575, 11025, 99225, 893025),
+    _Rule("((n-1)!!)^2 for even n; n * ((n-2)!!)^2 for odd n", _odd_order),
 )
 
 

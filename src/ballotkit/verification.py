@@ -9,7 +9,6 @@ pair of available sources agrees exactly over the range both cover.
 from __future__ import annotations
 
 import time
-from math import comb
 
 from . import bijections, formulas
 from .enumeration import Caps, count_sequence, enumerate_oracle, enumerate_pruned
@@ -149,7 +148,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         pset = parse_pattern_set("132,213")
         for n in range(1, n_max + 1):
             listing = members(pset, n)
-            assert len(listing) == comb(n - 1, (n - 1) // 2), f"count at n={n}"
+            assert len(listing) == formulas.formula_count(pset, n), f"count at n={n}"
             words = set()
             for p in listing:
                 w = bijections.to_dyck_prefix(p)

@@ -133,6 +133,14 @@ def test_wilf_transport_zero_descents_gives_identity():
         )
 
 
+def test_wilf_transport_keeps_the_empty_permutation():
+    # () is the one member of length 0 of every class; no word stands for it
+    for family in DESCENT_WORD_FAMILIES:
+        for src in family.members:
+            for dst in family.members:
+                assert wilf_transport((), _class(src), _class(dst)) == ()
+
+
 def test_wilf_transport_rejections():
     with pytest.raises(UnsupportedClassError):
         wilf_transport((1, 2), _class("132,213"), _class("132,213,312"))
@@ -168,6 +176,12 @@ def test_dyck_prefix_covers_all_nonnegative_words():
         assert sorted(to_dyck_prefix(p) for p in members) == sorted(words)
         for w in words:
             assert to_dyck_prefix(from_dyck_prefix(w)) == w
+
+
+def test_dyck_prefix_rejects_the_empty_permutation():
+    # a word of length n - 1 stands for a member of length n >= 1
+    with pytest.raises(InvalidInputError, match="empty permutation"):
+        to_dyck_prefix(())
 
 
 def test_dyck_prefix_rejections():

@@ -191,6 +191,18 @@ def test_biject_transport(capsys):
     assert code == 0 and out == "12\n"
 
 
+def test_biject_transport_of_the_empty_permutation(capsys):
+    code, out, _ = run(capsys, "biject", "--map", "transport",
+                       "--from", "132,213", "--to", "231,312", "--perm", "")
+    assert (code, out) == (0, "\n")
+
+
+def test_biject_dyck_refuses_the_empty_permutation(capsys):
+    code, out, err = run(capsys, "biject", "--map", "dyck", "--perm", "")
+    assert (code, out) == (1, "")
+    assert "empty permutation has no lattice word" in err
+
+
 def test_biject_insertion_maps(capsys):
     code, out, _ = run(capsys, "biject", "--map", "insert-132-321", "--perm", "312")
     assert code == 0 and out == "3412\n"

@@ -101,6 +101,21 @@ def test_wilf_equivalent_classes_match_to_30():
             assert len(values) == 1, (family, n)
 
 
+def test_classes_share_a_rule_exactly_when_their_counts_are_equal():
+    # grouped by their counts to n = 16 or by their rule, the classes with a
+    # rule fall into the same groups; rules compare by kind and text, since a
+    # tracer may wrap the evaluator of each entry apart
+    by_counts, by_rule = {}, {}
+    for pset in ALL_CLASSES:
+        spec = get_spec(pset)
+        if spec.evaluator is None:
+            continue
+        by_counts.setdefault(count_sequence(pset, 16).counts, []).append(spec.class_name)
+        by_rule.setdefault((spec.kind, spec.rule_text), []).append(spec.class_name)
+    assert sorted(by_counts.values()) == sorted(by_rule.values())
+    assert sum(len(group) > 1 for group in by_rule.values()) == 7
+
+
 def test_recurrence_step_examples():
     fib = parse_pattern_set("231,312,321")
     assert recurrence_step(fib, (1, 1, 2, 3, 5, 8)) == 13
