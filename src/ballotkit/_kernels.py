@@ -1,10 +1,16 @@
 """Hot enumeration and counting kernels.
 
 Kernels encode the length-3 patterns of a set as a 6-bit mask over the
-lexicographic pattern order 123, 132, 213, 231, 312, 321.  The level walk
-and the oracle also take the set's patterns of other lengths.  The counter
-takes the mask alone, so ``enumeration`` counts a set with such a pattern by
-the sizes of the walk's levels.
+lexicographic pattern order 123, 132, 213, 231, 312, 321; ``split`` is the
+one place a pattern set becomes that mask and the tuple ``rest`` of its
+patterns of other lengths.  The level walk and the oracle take both; the
+counter and the census take the mask alone.  So each method has one counting
+entry point that picks its engine: ``pruned_tally`` runs the counter for
+length-3 patterns alone and otherwise counts the walk's levels, and
+``oracle_tally`` reads the census for length-3 patterns alone and otherwise
+counts the oracle's listings.  ``check_rows`` refuses an oversized pruned
+listing from the counts for length-3 patterns alone, and with a pattern in
+``rest`` leaves it to the walk's own bound.
 
 There are three kernels and a census.  All run on the interpreter and
 numpy.
@@ -30,10 +36,7 @@ numpy.
   sites at a time, with (rows, sites) temporaries of at most ``_OPEN_BYTES``.
   ``pruned_fill`` keeps the last length, and one lexsort gives it
   lexicographic order.  Which sites the entries block is stated once, in
-  ``_blocked_by``, for the counter and the walk.  For length-3 patterns
-  alone the walk's level sizes are the class counts, so ``check_rows``
-  refuses a listing past ``MAX_ROWS`` from one ``pruned_count``, before any
-  row is built.
+  ``_blocked_by``, for the counter and the walk.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -75,6 +78,13 @@ MAX_ROWS = 4_000_000
 #: Bytes of the (rows, sites) integer temporaries that ``pruned_levels``
 #: makes at a time when it finds the open sites of a length.
 _OPEN_BYTES = 1 << 16
+
+
+def split(pset):
+    """The kernel arguments of a canonical pattern set: the 6-bit mask of its
+    length-3 patterns, and its other patterns."""
+    mask = sum(1 << LENGTH3_PATTERNS.index(q) for q in pset if len(q) == 3)
+    return mask, tuple(q for q in pset if len(q) != 3)
 
 
 def _class_label(mask, ballot_req, rest=()):
@@ -257,16 +267,18 @@ def pruned_levels(n, mask, ballot_req, rest=()):
         last = s + 1
 
 
-def check_rows(n, mask, ballot_req):
-    """Refuse a listing to n of the class of ``mask`` as ``pruned_levels``
-    would, before any row is built: with ``CapExceededError`` when some
-    length needs more than ``MAX_ROWS`` rows.
+def check_rows(n, mask, ballot_req, rest=()):
+    """Refuse a listing to n of the class of ``mask`` and ``rest`` as
+    ``pruned_levels`` would, before any row is built: with
+    ``CapExceededError`` when some length needs more than ``MAX_ROWS`` rows.
 
     For length-3 patterns alone every child of the walk is a member, so its
     level sizes are the class counts, and one ``pruned_count`` decides.
-    When that passes ``MAX_STATES`` it decides nothing, and the walk keeps
-    its own bound.
+    With a pattern in ``rest``, or when the count passes ``MAX_STATES``, it
+    decides nothing, and the walk keeps its own bound.
     """
+    if rest:  # the walk builds children that the completion test drops
+        return
     try:
         counts = pruned_count(n, mask, ballot_req)
     except CapExceededError:
@@ -284,6 +296,14 @@ def pruned_fill(n, mask, ballot_req, rest=()):
     for rows in pruned_levels(n, mask, ballot_req, rest):
         pass
     return rows[np.lexsort(rows.T[::-1])]
+
+
+def pruned_tally(n, mask, ballot_req, rest=()):
+    """[|class at length m| for m = 1..n]: the counter's pass for length-3
+    patterns alone, else the sizes of the walk's levels."""
+    if rest:
+        return list(map(len, pruned_levels(n, mask, ballot_req, rest)))
+    return pruned_count(n, mask, ballot_req)
 
 
 #: Most values a block of the oracle leaves free behind its fixed prefix, so
@@ -481,6 +501,16 @@ def oracle_census(n):
     table = np.ascontiguousarray(table.reshape(2, _BALLOT_BIT).T)
     table.flags.writeable = False
     return table
+
+
+def oracle_tally(n, mask, ballot_req, rest=()):
+    """[|class at length m| for m = 1..n] from the oracle: read off the
+    census for length-3 patterns alone, else the sizes of its listings."""
+    if rest:
+        return [len(oracle_fill(m, mask, ballot_req, 0, rest)) for m in range(1, n + 1)]
+    avoided = [s for s in range(_BALLOT_BIT) if not s & mask]
+    column = slice(1, 2) if ballot_req else slice(None)
+    return [int(oracle_census(m)[avoided, column].sum()) for m in range(1, n + 1)]
 
 
 def backend_name() -> str:

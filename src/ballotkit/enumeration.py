@@ -1,48 +1,26 @@
 """Two independent enumerators and a counter for pattern-avoiding (ballot)
-permutations.
+permutations: the policy around the kernels of ``_kernels``.
 
 ``enumerate_oracle`` classifies every permutation of 1..n and is the
-reference everything else is validated against; it refuses lengths above a
-cap (default 10, 10! = 3.6M candidates).  Its kernel ``_kernels.oracle_fill``
-is vectorized with numpy and scans the permutations in blocks of at most 9!
-rows.  ``enumerate_pruned`` grows the members one length at a time, each
-from its standardized prefix, and never extends a prefix that breaks the
-ballot prefix condition or contains a forbidden pattern; both conditions are
-monotone, so the two enumerators agree exactly wherever both run.  Its
-kernel ``_kernels.pruned_fill`` steps every member of a length at once with
-numpy, tracking the values that length-3 patterns forbid with the counter's
-blocked-sites state, and makes one call per listing.  Both enumerators
-return lists of tuples; ``enumerate_rows`` is the one listing function
-behind them, which checks the cap, n and the pattern set once and returns
-the members as the rows of an integer array, as the CLI prints them.  For
-length-3 patterns it refuses a pruned listing of more than
-``_kernels.MAX_ROWS`` rows at some length from the class counts
-(``_kernels.check_rows``), before any row is built.
+reference everything else is validated against; ``enumerate_pruned`` grows
+the members one length at a time and never extends a prefix that breaks the
+ballot prefix condition or contains a forbidden pattern.  Both conditions
+are monotone, so the two agree exactly wherever both run.  Both return lists
+of tuples; ``enumerate_rows`` is the one listing function behind them, which
+returns the members as the rows of an integer array, as the CLI prints them.
+``count_pruned`` and ``count_sequence`` produce tallies without listing.
 
-``count_pruned`` and ``count_sequence`` produce tallies.  For length-3
-pattern sets they make one pass of the transfer-state counter
-``_kernels.pruned_count``, which materializes no element, runs interpreted
-on Python ints and yields every length up to n at once.
-It keeps a bounded number of states per length and raises
-``CapExceededError`` past that bound, as it does past the length cap.
-``count_sequence(..., "oracle")`` reads length-3 classes off the oracle's
-census (``_kernels.oracle_census``): one memoized classification per length
-counts every class, ballot and plain, without listing any of them.
-
-``_split`` parts a pattern set into the 6-bit mask of its length-3
-patterns and the patterns of other lengths.  The listing kernel takes both:
-it drops each child whose new last entry completes an occurrence of one of
-the others.  So one walk of West's generating tree lists every pattern set,
-and the pruned counts of a set with such a pattern are the sizes of the
-levels of one walk to n (``_kernels.pruned_levels``), bounded, like
-listing, by ``_kernels.MAX_ROWS`` children per length.  The oracle takes
-both as well: it lists and counts such a set by classifying every
-permutation for the mask and dropping, block by block, the members that
-contain one of the others.
+Each function checks n and the pattern set once, applies the cap of the
+method it runs, parts the set with ``_kernels.split`` and makes one kernel
+call: ``oracle_fill`` or ``pruned_fill`` to list (after ``check_rows``, which
+refuses an oversized pruned listing before any row is built), and
+``oracle_tally`` or ``pruned_tally`` to count.  The kernels' module docstring
+states the pattern encoding, the engines and the refusal rule.
 
 ``Caps`` holds both length caps and applies them: each function takes one
-as ``caps`` and refuses n past the cap of the method it runs.  Nothing here
-reads the environment; the CLI builds the ``Caps`` from its flags.
+as ``caps`` and refuses n past the cap of the method it runs (the oracle's
+default of 10 is 10! = 3.6M candidates).  Nothing here reads the
+environment; the CLI builds the ``Caps`` from its flags.
 """
 from __future__ import annotations
 
@@ -52,12 +30,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import CapExceededError, InvalidInputError
-from .patterns import (
-    LENGTH3_PATTERNS,
-    PatternSet,
-    canonical_pattern_set,
-    format_pattern_set,
-)
+from .patterns import PatternSet, canonical_pattern_set, format_pattern_set
 from .perms import Perm
 
 
@@ -103,21 +76,8 @@ class SequenceRecord:
         return self.counts[n - 1]
 
 
-def _split(pset: PatternSet) -> tuple[int, PatternSet]:
-    """The 6-bit kernel mask of the length-3 patterns, and the other patterns."""
-    mask = sum(1 << LENGTH3_PATTERNS.index(q) for q in pset if len(q) == 3)
-    return mask, tuple(q for q in pset if len(q) != 3)
-
-
 def _rows_to_perms(rows) -> list[Perm]:
     return list(map(tuple, rows.tolist()))
-
-
-def _census_count(n: int, mask: int, ballot: bool) -> int:
-    """|avoiders of length n| read off the oracle's census of length n."""
-    table = _kernels.oracle_census(n)
-    avoiders = table[[s for s in range(64) if not s & mask]]
-    return int(avoiders[:, 1].sum() if ballot else avoiders.sum())
 
 
 def _partition_firsts(n: int, mask: int, ballot: bool, rest: PatternSet):
@@ -145,11 +105,10 @@ def enumerate_rows(
     caps.check(method, n, "enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
-    mask, rest = _split(canonical_pattern_set(patterns))
+    mask, rest = _kernels.split(canonical_pattern_set(patterns))
     if method == "oracle":
         return _kernels.oracle_fill(n, mask, ballot, 0, rest)
-    if not rest:
-        _kernels.check_rows(n, mask, ballot)
+    _kernels.check_rows(n, mask, ballot, rest)
     return _partition_firsts(n, mask, ballot, rest)
 
 
@@ -213,14 +172,7 @@ def count_sequence(
         raise InvalidInputError(f"unknown counting method: {method!r}")
     caps.check(method, n_max, "counting")
     pset = canonical_pattern_set(patterns)
-    mask, rest = _split(pset)
-    if method == "oracle" and rest:
-        counts = tuple(len(_kernels.oracle_fill(n, mask, ballot, 0, rest))
-                       for n in range(1, n_max + 1))
-    elif method == "oracle":
-        counts = tuple(_census_count(n, mask, ballot) for n in range(1, n_max + 1))
-    elif rest:
-        counts = tuple(map(len, _kernels.pruned_levels(n_max, mask, ballot, rest)))
-    else:
-        counts = tuple(_kernels.pruned_count(n_max, mask, ballot))
+    mask, rest = _kernels.split(pset)
+    tally = _kernels.oracle_tally if method == "oracle" else _kernels.pruned_tally
+    counts = tuple(tally(n_max, mask, ballot, rest))
     return SequenceRecord(patterns=pset, counts=counts, provenance=method)

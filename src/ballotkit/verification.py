@@ -90,6 +90,13 @@ def check_class(
     return row
 
 
+def _require(ok: bool, label: str) -> None:
+    """Fail a named check with ``label``; unlike ``assert``, this also runs
+    under ``python -O``."""
+    if not ok:
+        raise AssertionError(label)
+
+
 def _named_check(name: str, fn) -> dict:
     started = time.perf_counter()
     try:
@@ -128,7 +135,7 @@ def suite_formulas(n_max: int = 12, caps: Caps = Caps()) -> list[dict]:
             while len(history) < n_max:
                 history.append(formulas.recurrence_step(pset, history))
             for n, term in enumerate(history, 1):
-                assert term == formulas.formula_count(pset, n), f"{spec.class_name} at n={n}"
+                _require(term == formulas.formula_count(pset, n), f"{spec.class_name} at n={n}")
         return f"recurrences iterated to n={n_max}"
 
     rows.append(_named_check("recurrence-consistency", recurrence_consistency))
@@ -148,13 +155,13 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         pset = parse_pattern_set("132,213")
         for n in range(1, n_max + 1):
             listing = members(pset, n)
-            assert len(listing) == formulas.formula_count(pset, n), f"count at n={n}"
+            _require(len(listing) == formulas.formula_count(pset, n), f"count at n={n}")
             words = set()
             for p in listing:
                 w = bijections.to_dyck_prefix(p)
-                assert bijections.from_dyck_prefix(w) == p, f"roundtrip of {p}"
+                _require(bijections.from_dyck_prefix(w) == p, f"roundtrip of {p}")
                 words.add(w)
-            assert len(words) == len(listing), f"words not distinct at n={n}"
+            _require(len(words) == len(listing), f"words not distinct at n={n}")
         return f"roundtrips checked to n={n_max}"
 
     rows.append(_named_check("dyck-roundtrip", dyck_roundtrip))
@@ -174,13 +181,13 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
                 for name, pset in classes.items():
                     listing = members(pset, n)
                     words = [descent_word(p) for p in listing]
-                    assert len(set(words)) == len(words), f"{name} words not distinct at n={n}"
+                    _require(len(set(words)) == len(words), f"{name} words not distinct at n={n}")
                     built = [bijections.perm_from_word(pset, w) for w in words]
-                    assert built == listing, f"{name} builder at n={n}"
+                    _require(built == listing, f"{name} builder at n={n}")
                     words.sort()
                     if expected is None:
                         expected = words
-                    assert words == expected, f"{name} words differ at n={n}"
+                    _require(words == expected, f"{name} words differ at n={n}")
             return f"{len(family.members)} classes matched to n={n_max}"
 
         rows.append(_named_check(f"transport-{family.canonical_member}", transport_family))
@@ -194,8 +201,8 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
             for n in range(0, n_max):
                 plain = members(pset, n, ballot=False)
                 image = [insert(s) for s in plain]
-                assert sorted(image) == members(pset, n + 1), f"{name} image at n={n}"
-                assert [remove(t) for t in image] == plain, f"{name} inverse at n={n}"
+                _require(sorted(image) == members(pset, n + 1), f"{name} image at n={n}")
+                _require([remove(t) for t in image] == plain, f"{name} inverse at n={n}")
         return f"both insertion maps inverted to n={n_max}"
 
     rows.append(_named_check("insertion-maps", insertion_maps))
@@ -206,7 +213,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         for n in range(1, oracle_top + 1):
             excluded = set(members(pset, n, ballot=False)) - set(members(pset, n))
             expected = {bijections.excluded_element_213_321(n)} if n > 1 else set()
-            assert excluded == expected, f"213,321 excluded element at n={n}"
+            _require(excluded == expected, f"213,321 excluded element at n={n}")
         return f"checked to n={oracle_top}"
 
     rows.append(_named_check("excluded-213-321", excluded_element))
@@ -218,7 +225,7 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         ):
             pset = parse_pattern_set(name)
             for n in range(1, n_max + 1):
-                assert sorted(generate(n)) == members(pset, n), f"{name} generation at n={n}"
+                _require(sorted(generate(n)) == members(pset, n), f"{name} generation at n={n}")
         return f"generators matched to n={n_max}"
 
     rows.append(_named_check("generators", generators))
@@ -227,9 +234,8 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
         for name in bijections.UNIQUE_MEMBER_CLASSES:
             pset = parse_pattern_set(name)
             for n in range(1, n_max + 1):
-                assert bijections.unique_members(pset, n) == members(pset, n), (
-                    f"{name} at n={n}"
-                )
+                _require(bijections.unique_members(pset, n) == members(pset, n),
+                         f"{name} at n={n}")
         return f"{len(bijections.UNIQUE_MEMBER_CLASSES)} classes matched to n={n_max}"
 
     rows.append(_named_check("unique-members", unique_member_classes))
@@ -255,7 +261,7 @@ def run_suite(suite: str, n_max: int, caps: Caps = Caps()) -> dict:
     elif suite in _SUITES:
         rows = _SUITES[suite](n_max, caps)
     else:
-        raise ValueError(f"unknown suite: {suite!r}")
+        raise InvalidInputError(f"unknown suite: {suite!r}")
     report = {
         "schema": SCHEMA_VERSION,
         "command": "verify",

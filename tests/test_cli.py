@@ -1,11 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from ballotkit import _kernels, cli, formulas, verification
+import ballotkit
+from ballotkit import _kernels, bijections, cli, formulas, verification
 from ballotkit.cli import BIJECT_MAX_LEN, FORMULA_MAX_N, main, parse_json_output
 from ballotkit.enumeration import Caps, enumerate_rows
 from ballotkit.errors import InvalidInputError
@@ -177,6 +180,13 @@ def test_formula_json(capsys):
     assert payload["rule_kind"] == "reference-prefix-only"
 
 
+def test_formula_plain(capsys):
+    assert run(capsys, "formula", "--patterns", "321", "--n", "6",
+               "--format", "plain") == (0, "90\n", "")
+    assert run(capsys, "formula", "--patterns", "213", "--n", "6",
+               "--format", "plain") == (0, "no formula\n", "")
+
+
 def test_biject_dyck_examples(capsys):
     code, out, _ = run(capsys, "biject", "--map", "dyck", "--perm", "456312")
     assert code == 0 and out == "UUDDU\n"
@@ -301,6 +311,13 @@ def test_enumerate_past_the_row_bound_exits_2(capsys):
     code, out, err = run_exit(capsys, "enumerate", "--n", "11")
     assert (code, out) == (2, "")
     assert "9,823,275 rows" in err
+
+
+def test_missing_and_malformed_arguments_exit_2(capsys):
+    code, out, err = run_exit(capsys, "biject", "--map", "dyck")
+    assert (code, out) == (2, "") and "needs --perm" in err
+    code, out, err = run_exit(capsys, "count", "--n-max", "x")
+    assert (code, out) == (2, "") and "--n-max" in err
 
 
 def test_verify_n_max_0_is_usage_error(capsys):
@@ -443,6 +460,66 @@ def test_recurrence_row_catches_a_wrong_step(monkeypatch):
         rows = {r.get("check"): r for r in verification.run_suite("formulas", 4)["rows"]}
         assert rows["recurrence-consistency"]["status"] == "pass"
         monkeypatch.undo()
+
+
+def test_verify_fails_with_the_first_failing_class(capsys, monkeypatch):
+    spec = formulas.REGISTRY["321"]
+    monkeypatch.setitem(formulas.REGISTRY, "321", dataclasses.replace(
+        spec, evaluator=lambda n: spec.evaluator(n) + (n == 4)))
+    code, out, err = run(capsys, "verify", "--suite", "formulas", "--n-max", "6")
+    assert code == 1
+    assert parse_json_output(out)["pass"] is False
+    assert err == "verify: FAIL at 321: formula/pruned, formula/table\n"
+
+
+def test_verify_fails_with_the_first_failing_named_row(capsys, monkeypatch):
+    members = bijections.DESCENT_WORD_FAMILIES[0].members
+    build = members["231,312"]
+    monkeypatch.setitem(members, "231,312", lambda w: build(w)[::-1])
+    code, out, err = run(capsys, "verify", "--suite", "bijections", "--n-max", "6")
+    assert code == 1
+    assert parse_json_output(out)["pass"] is False
+    assert err == "verify: FAIL at transport-132,213: 231,312 builder at n=2\n"
+
+
+_BROKEN_CHECKS = """
+import dataclasses, json
+from ballotkit import bijections, formulas, verification
+members = bijections.DESCENT_WORD_FAMILIES[0].members
+build = members["231,312"]
+members["231,312"] = lambda w: build(w)[::-1]
+spec = formulas.REGISTRY["312,321"]
+seed, step = spec.recurrence
+formulas.REGISTRY["312,321"] = dataclasses.replace(
+    spec, recurrence=(seed, lambda h: step(h) + (len(h) == 4)))
+reports = [verification.run_suite(suite, 6) for suite in ("bijections", "formulas")]
+print(json.dumps([[r["pass"], verification.first_failure(r)] for r in reports]))
+"""
+
+
+def test_verify_checks_under_python_optimize():
+    # -O strips assert statements; the named checks must still decide, so
+    # the child reports its verdicts on stdout rather than asserting them
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ballotkit.__file__))}
+    out = subprocess.run([sys.executable, "-O", "-c", _BROKEN_CHECKS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == [
+        [False, "transport-132,213: 231,312 builder at n=2"],
+        [False, "recurrence-consistency: 312,321 at n=5"],
+    ]
+
+
+def test_suite_all_is_the_three_suites_in_turn():
+    def rows(suite):
+        report = verification.run_suite(suite, 6)
+        return [{k: v for k, v in row.items() if k != "seconds"} for row in report["rows"]]
+
+    assert rows("all") == rows("tables") + rows("formulas") + rows("bijections")
+
+
+def test_unknown_suite_is_invalid_input():
+    with pytest.raises(InvalidInputError, match="unknown suite: 'nonsense'"):
+        verification.run_suite("nonsense", 6)
 
 
 def test_json_outputs_carry_schema(capsys):

@@ -15,7 +15,6 @@ from ballotkit.cli import main
 from ballotkit.enumeration import (
     Caps,
     SequenceRecord,
-    _split,
     count_pruned,
     count_sequence,
     enumerate_oracle,
@@ -98,7 +97,7 @@ def test_non_length3_patterns():
     for text, n_top in (("12", 6), ("21", 6), ("1", 4), ("1234", 7), ("3142,2413", 7),
                         ("123,1234", 7), ("132,1234", 7), ("321,2143", 7)):
         pset = parse_pattern_set(text)
-        assert _split(pset)[1]
+        assert _kernels.split(pset)[1]
         naive_counts = []
         for n in range(0, n_top):
             expected = naive_members(n, pset) if n else [()]
@@ -122,6 +121,24 @@ def test_walk_matches_generic_oracle():
                 oracle_counts.append(len(expected))
             # the oracle counts these sets by listing them, as above
             assert count_sequence(pset, 8, ballot=ballot).counts == tuple(oracle_counts)
+
+
+def test_oracle_counts_sets_with_longer_patterns():
+    # the oracle counts such a set by the sizes of its listings
+    for text in ("1234", "132,1234", "2413,3142"):
+        pset = parse_pattern_set(text)
+        for ballot in (True, False):
+            assert count_sequence(pset, 8, "oracle", ballot=ballot).counts == \
+                count_sequence(pset, 8, ballot=ballot).counts, (text, ballot)
+
+
+def test_check_rows_leaves_longer_patterns_to_the_walk(monkeypatch):
+    # the counts of the length-3 patterns would refuse, but the walk drops
+    # children that they count, so only its own bound decides
+    monkeypatch.setattr(_kernels, "MAX_ROWS", 100)
+    with pytest.raises(CapExceededError):
+        _kernels.check_rows(8, 0, True)
+    assert _kernels.check_rows(8, 0, True, parse_pattern_set("1234")) is None
 
 
 def test_generic_counting_is_bounded(monkeypatch, capsys):
@@ -178,7 +195,7 @@ def test_pruned_rows_match_counter_past_the_brute_force_range():
 def test_pruned_rows_past_64_sites():
     # sites no longer fit 64 bits, so the blocked sites are Python ints
     pset = parse_pattern_set("123,132")
-    rows = _kernels.pruned_fill(100, _split(pset)[0], True)
+    rows = _kernels.pruned_fill(100, _kernels.split(pset)[0], True)
     assert rows.shape == (1, 100) and rows.dtype == np.uint8
     member = tuple(rows[0].tolist())
     assert sorted(member) == list(range(1, 101))
