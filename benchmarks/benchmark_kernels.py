@@ -7,16 +7,18 @@ Usage:
 Each case is one direct call of a kernel, on a workload large enough to
 dominate call overhead, that returns the result printed beside its time;
 the comment beside each case says why it is there.  Every time is the
-median of ``--repeat`` runs, printed with its sample count.  The oracle's
-row and classification memos are cleared before each run, so each time
-includes the work that every command pays once.  All kernels run on the
-interpreter and numpy.
+median of ``--repeat`` runs, printed with its sample count.  The peak is
+the tracemalloc peak of one more, untimed run (numpy reports its buffers
+to tracemalloc).  The oracle's row and classification memos are cleared
+before each run, so each time and peak includes the work that every
+command pays once.  All kernels run on the interpreter and numpy.
 """
 from __future__ import annotations
 
 import argparse
 import statistics
 import time
+import tracemalloc
 
 from ballotkit import _kernels
 from ballotkit._kernels import (
@@ -68,8 +70,12 @@ CASES = [
     ("pruned_fill {132} n=11", lambda: len(pruned_fill(11, _mask("132"), True))),
     ("pruned_fill {231} plain n=10", lambda: len(pruned_fill(10, _mask("231"), False))),
     ("pruned_fill {321} n=11", lambda: len(pruned_fill(11, _mask("321"), True))),
-    # the single member of length 100, whose blocked sites outgrow 64 bits
+    # the largest listing the row bound accepts, whose sort sets the peak
+    ("pruned_fill {} plain n=10", lambda: len(pruned_fill(10, 0, False))),
+    # the single member of length 100 and 300, whose blocked sites outgrow
+    # 64 bits: one row, whose few open sites are tested one at a time
     ("pruned_fill {123,132} n=100", lambda: len(pruned_fill(100, _mask("123,132"), True))),
+    ("pruned_fill {123,132} n=300", lambda: len(pruned_fill(300, _mask("123,132"), True))),
     # patterns of length 4, dropped by the completion test
     ("pruned_fill {1234} plain n=10", lambda: len(pruned_fill(10, 0, False, _rest("1234")))),
     ("pruned_fill {3142,2413} n=9",
@@ -101,16 +107,31 @@ CASES = [
 ]
 
 
+def _clear_memos():
+    _kernels._oracle_codes.cache_clear()  # each oracle run classifies afresh
+    _kernels._lex_rows.cache_clear()  # and builds its rows afresh
+
+
 def _time(call, repeat):
     """Median seconds over ``repeat`` runs of ``call``, and its last result."""
     samples = []
     for _ in range(repeat):
-        _kernels._oracle_codes.cache_clear()  # each oracle run classifies afresh
-        _kernels._lex_rows.cache_clear()  # and builds its rows afresh
+        _clear_memos()
         t0 = time.perf_counter()
         result = call()
         samples.append(time.perf_counter() - t0)
     return statistics.median(samples), result
+
+
+def _peak(call):
+    """The tracemalloc peak, in bytes, of one more run of ``call``."""
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> None:
@@ -121,10 +142,11 @@ def main() -> None:
         parser.error("--repeat must be at least 1")
 
     print(f"medians of {args.repeat} run(s) each")
-    print(f"{'case':<36} {'time':>10}  result")
+    print(f"{'case':<36} {'time':>10} {'peak':>10}  result")
     for label, call in CASES:
         seconds, result = _time(call, args.repeat)
-        print(f"{label:<36} {seconds:>9.3f}s  {result}")
+        peak = _peak(call) / 2**20
+        print(f"{label:<36} {seconds:>9.3f}s {peak:>7.1f} MB  {result}")
 
 
 if __name__ == "__main__":

@@ -4,11 +4,14 @@ The package is organized as:
 
 - :mod:`ballotkit.perms` — permutation algebra and textual formats;
 - :mod:`ballotkit.patterns` — containment testing and class names;
-- :mod:`ballotkit.enumeration` — the brute-force oracle (vectorized with
-  numpy, with a per-length census that counts every class at once), the
-  pruned enumerator, which lists a class level by level, and the
-  transfer-state counter, which share one rule for the values each entry
-  blocks;
+- :mod:`ballotkit.enumeration` — the policy layer: it checks n and the
+  pattern set, applies the length caps, and lists or counts through one
+  kernel call;
+- :mod:`ballotkit._kernels` — the kernels behind it: the brute-force oracle
+  (vectorized with numpy, with a per-length census that counts every class
+  at once), the pruned enumerator, which lists a class level by level, and
+  the transfer-state counter; the last two share one rule for the values
+  each entry blocks;
 - :mod:`ballotkit.formulas` — registered counting rules and reference
   sequence prefixes;
 - :mod:`ballotkit.bijections` — descent-word reconstructions, insertion

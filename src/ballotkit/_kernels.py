@@ -24,19 +24,18 @@ numpy.
   outgrow int64, so it works on Python ints.  At most ``MAX_STATES`` states
   are kept per length; past that it raises ``CapExceededError``.
 - ``pruned_levels``: the counter's generating tree walked one length at a
-  time with whole-array numpy steps, yielding every member of each length:
-  its standardized row, blocked sites, last rank and height.  A child is
-  made only at an open site, one whose entry completes no forbidden triple
-  and, with the ballot flag, takes the height no lower than zero; prefixes
-  of members are members, so the walk visits members only and no prefix
-  without a completion.  Patterns not of length 3 are tested on the
-  children: one whose new last entry completes an occurrence is dropped.
-  At most ``MAX_ROWS`` children are built per length; past that it raises
-  ``CapExceededError``.  The open sites of a length are found a chunk of
-  sites at a time, with (rows, sites) temporaries of at most ``_OPEN_BYTES``.
-  ``pruned_fill`` keeps the last length, and one lexsort gives it
-  lexicographic order.  Which sites the entries block is stated once, in
-  ``_blocked_by``, for the counter and the walk.
+  time, yielding every member of each length: its standardized row,
+  blocked sites, last rank and height.  A child is made only at an open
+  site, one whose entry completes no forbidden triple and, with the ballot
+  flag, takes the height no lower than zero; prefixes of members are
+  members, so the walk visits members only and no prefix without a
+  completion.  A length is built one site at a time, from the members
+  open there.  Patterns not of length 3 are tested on the children: one
+  whose new last entry completes an occurrence is dropped.  At most
+  ``MAX_ROWS`` children are built per length; past that it raises
+  ``CapExceededError``.  ``pruned_fill`` keeps the last length, and one
+  lexsort gives it lexicographic order.  ``_blocked_by`` states once, for
+  the counter and the walk, which sites entries block.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -75,9 +74,6 @@ from .patterns import LENGTH3_PATTERNS, format_pattern_set
 MAX_STATES = 100_000
 #: Most children ``pruned_fill`` builds at one length.
 MAX_ROWS = 4_000_000
-#: Bytes of the (rows, sites) integer temporaries that ``pruned_levels``
-#: makes at a time when it finds the open sites of a length.
-_OPEN_BYTES = 1 << 16
 
 
 def split(pset):
@@ -213,12 +209,13 @@ def pruned_levels(n, mask, ballot_req, rest=()):
 
     The class avoids the length-3 patterns of ``mask`` and the patterns of
     other lengths in ``rest``.  The frontier is every member of length k,
-    each with its blocked sites, last rank and height.  A child places a
-    new last entry at an open site s, so the entries above s move up by one
-    and s + 1 is appended; its blocked sites follow the counter's own step.
+    each with its blocked sites, last rank and height.  A length is built
+    one open site s at a time: each member open at s writes a child into
+    its next rows, the entries above s moved up by one and s + 1 appended.
     A child whose new entry completes an occurrence of a pattern in
-    ``rest`` is dropped.  No length may build more than ``MAX_ROWS``
-    children; past that it raises ``CapExceededError``.
+    ``rest`` is dropped; a kept child's blocked sites follow the counter's
+    own step.  No length may build more than ``MAX_ROWS`` children; past
+    that it raises ``CapExceededError``.
     """
     if n < 1:
         return
@@ -231,33 +228,35 @@ def pruned_levels(n, mask, ballot_req, rest=()):
     height = np.zeros(roots, dtype=np.intp)
     yield rows
     for k in range(1, n):
-        # a chunk of sites at a time, so that the (rows, sites) temporaries
-        # stay within _OPEN_BYTES and a level of few rows takes few steps
-        open_ = np.empty((len(last), k + 1), dtype=bool)
-        up = (height > 0)[:, None]
-        step = max(1, _OPEN_BYTES // (8 * max(1, len(last))))
-        for lo in range(0, k + 1, step):
-            hi = min(lo + step, k + 1)
-            sites = np.arange(lo, hi)
-            np.equal(blocked[:, None] >> sites.astype(bits) & 1, 0, out=open_[:, lo:hi])
+        common = int(np.bitwise_and.reduce(blocked))  # sites all members block (every site if none)
+        sites = [s for s in range(k + 1) if not common >> s & 1]
+        open_ = np.zeros((k + 1, len(last)), dtype=bool)
+        up = height > 0
+        for s in sites:
+            np.equal(blocked & (1 << s), 0, out=open_[s])
             if ballot_req:
-                open_[:, lo:hi] &= (last[:, None] <= sites) | up
+                open_[s] &= (last <= s) | up
         size = np.count_nonzero(open_)
         if size > MAX_ROWS:
             raise _too_many_rows(n, mask, ballot_req, rest, size, k + 1)
-        parent, s = np.nonzero(open_)
-        prev = rows[parent]
-        rows = np.empty((size, k + 1), dtype=dtype)
-        np.add(prev, prev > s.astype(dtype)[:, None], out=rows[:, :k])
-        rows[:, k] = s + 1
+        prev, rows = rows, np.empty((size, k + 1), dtype=dtype)
+        parent = np.empty(size, dtype=np.intp)
+        stop = 0
+        for s in sites:
+            members = open_[s].nonzero()[0]
+            start, stop = stop, stop + len(members)
+            p = prev[members]
+            np.add(p, p > s, out=rows[start:stop, :k])
+            rows[start:stop, k], parent[start:stop] = s + 1, members
         if rest:
             # the parent avoids every q, so only an occurrence that ends at
             # the new entry can be new
             keep = ~np.logical_or.reduce([_completes(rows, q) for q in rest])
-            rows, parent, s = rows[keep], parent[keep], s[keep]
+            rows, parent = rows[keep], parent[keep]
         yield rows
         if k + 1 == n:  # the last length needs no state to grow from
             return
+        s = rows[:, k].astype(np.intp) - 1
         b, sb = blocked[parent], s.astype(bits)
         low = np.array([(2 << j) - 1 for j in range(k + 1)], dtype=bits)
         add = np.array(_blocked_by(mask, k), dtype=bits)

@@ -11,6 +11,7 @@ import pytest
 from naive import naive_census, naive_listings, naive_members
 import ballotkit
 from ballotkit import _kernels
+from ballotkit.bijections import UNIQUE_MEMBER_CLASSES, unique_members
 from ballotkit.cli import main
 from ballotkit.enumeration import (
     Caps,
@@ -200,6 +201,14 @@ def test_pruned_rows_past_64_sites():
     member = tuple(rows[0].tolist())
     assert sorted(member) == list(range(1, 101))
     assert is_ballot(member) and avoids_all(member, pset)
+    # lengths of one and two rows on both sides of 64 sites, where the
+    # blocked sites turn from uint64 to Python ints
+    for name in UNIQUE_MEMBER_CLASSES:
+        pset = parse_pattern_set(name)
+        mask = _kernels.split(pset)[0]
+        for n in range(60, 71):
+            rows = _kernels.pruned_fill(n, mask, True).tolist()
+            assert [tuple(r) for r in rows] == unique_members(pset, n), (name, n)
 
 
 def test_pruned_rows_bound(monkeypatch):
@@ -209,10 +218,25 @@ def test_pruned_rows_bound(monkeypatch):
         _kernels.pruned_fill(7, 32, True)
 
 
+def test_walk_memory_is_a_small_multiple_of_its_output():
+    # a length is built one site at a time, so beside its rows the walk
+    # holds each child's parent and the length before, and no (rows,
+    # sites) temporaries
+    for ballot in (True, False):
+        tracemalloc.start()
+        try:
+            for rows in _kernels.pruned_levels(9, 0, ballot):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rows.nbytes, (ballot, f"{peak / rows.nbytes:.1f} x its output")
+
+
 def test_refused_listing_memory_is_bounded():
-    # the open sites of each length are found a few sites at a time, so a
-    # refusal by the walk at length 11 makes no large (rows, sites) integer
-    # temporaries
+    # the walk refuses length 11 from the size of its open-site table, one
+    # bool per (member, site) of length 10, before any row of length 11 is
+    # built
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="9,823,275 rows at length 11"):
