@@ -16,6 +16,7 @@ command pays once.  All kernels run on the interpreter and numpy.
 from __future__ import annotations
 
 import argparse
+import collections
 import statistics
 import time
 import tracemalloc
@@ -27,6 +28,7 @@ from ballotkit._kernels import (
     oracle_fill,
     pruned_count,
     pruned_fill,
+    pruned_levels,
     split,
 )
 from ballotkit.enumeration import enumerate_rows
@@ -81,9 +83,12 @@ CASES = [
     ("pruned_fill {3142,2413} n=9",
      lambda: len(pruned_fill(9, 0, True, _rest("2413,3142")))),
     # every ballot permutation of length 11: the walk runs until its row
-    # bound stops it, check_rows refuses from the counts before any row
-    ("pruned_fill {} n=11 (refused)", lambda: _refused(lambda: pruned_fill(11, 0, True))),
+    # bound stops it, check_rows refuses from the counts before any row;
+    # at n=80 the counts stop at length 11 too
+    ("pruned_levels {} n=11 (refused)",
+     lambda: _refused(lambda: collections.deque(pruned_levels(11, 0, True), maxlen=0))),
     ("check_rows {} n=11 (refused)", lambda: _refused(lambda: check_rows(11, 0, True))),
+    ("check_rows {} n=80 (refused)", lambda: _refused(lambda: check_rows(80, 0, True))),
     # one class from every permutation of length 9 and 10
     ("oracle_fill {132,213} n=9", lambda: len(oracle_fill(9, _mask("132,213"), True, 0))),
     ("oracle_fill {132,213} n=10", lambda: len(oracle_fill(10, _mask("132,213"), True, 0))),

@@ -8,9 +8,8 @@ counter and the census take the mask alone.  So each method has one counting
 entry point that picks its engine: ``pruned_tally`` runs the counter for
 length-3 patterns alone and otherwise counts the walk's levels, and
 ``oracle_tally`` reads the census for length-3 patterns alone and otherwise
-counts the oracle's listings.  ``check_rows`` refuses an oversized pruned
-listing from the counts for length-3 patterns alone, and with a pattern in
-``rest`` leaves it to the walk's own bound.
+counts the oracle's listings.  Each lists through one entry point too,
+``pruned_fill`` or ``oracle_fill``.
 
 There are three kernels and a census.  All run on the interpreter and
 numpy.
@@ -20,22 +19,26 @@ numpy.
   keeps only what decides their future: which value sites an earlier pair
   already blocks, the rank of the last entry, and the ascent-minus-descent
   height.  A ``{state: multiplicity}`` table is carried forward one length
-  at a time, so one pass yields the counts of every length up to n.  Counts
-  outgrow int64, so it works on Python ints.  At most ``MAX_STATES`` states
-  are kept per length; past that it raises ``CapExceededError``.
+  at a time (``_counts``), each length's count yielded once it is finished.
+  Counts outgrow int64, so it works on Python ints.  At most ``MAX_STATES``
+  states are kept per length; past that it raises ``CapExceededError``.
 - ``pruned_levels``: the counter's generating tree walked one length at a
-  time, yielding every member of each length: its standardized row,
-  blocked sites, last rank and height.  A child is made only at an open
-  site, one whose entry completes no forbidden triple and, with the ballot
-  flag, takes the height no lower than zero; prefixes of members are
-  members, so the walk visits members only and no prefix without a
-  completion.  A length is built one site at a time, from the members
-  open there.  Patterns not of length 3 are tested on the children: one
-  whose new last entry completes an occurrence is dropped.  At most
-  ``MAX_ROWS`` children are built per length; past that it raises
-  ``CapExceededError``.  ``pruned_fill`` keeps the last length, and one
-  lexsort gives it lexicographic order.  ``_blocked_by`` states once, for
-  the counter and the walk, which sites entries block.
+  time, yielding every member of each length: its standardized row, blocked
+  sites and height (its last rank is its row's last entry).  A child is made
+  only at an open site, one whose entry completes no forbidden triple and,
+  with the ballot flag, takes the height no lower than zero; prefixes of
+  members are members, so the walk visits members only and no prefix without
+  a completion.  A length is built one site at a time, from the members open
+  there.  Patterns not of length 3 are tested on the children: one whose new
+  last entry completes an occurrence is dropped.  At most ``MAX_ROWS``
+  children are built per length; past that it raises ``CapExceededError``.
+  ``pruned_fill`` refuses first (``check_rows``): for length-3 patterns
+  alone the walk's level sizes are the class counts, so ``_counts`` is read
+  up to the first length past ``MAX_ROWS``, before any row is built; with a
+  pattern in ``rest``, or once the counter passes ``MAX_STATES``, the walk's
+  own bound decides.  It keeps the last length, and one lexsort gives it
+  lexicographic order.  ``_blocked_by`` states the transfer step once, for
+  the counter and the walk.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -97,64 +100,66 @@ def _too_many_rows(n, mask, ballot_req, rest, size, length):
         f"at length {length}, more than {MAX_ROWS:,}; lower n")
 
 
-def _sites(lo, hi):
-    """Bitmask of the value sites lo..hi (empty when lo > hi)."""
-    return (1 << (hi + 1)) - (1 << lo) if lo <= hi else 0
-
-
 def _blocked_by(mask, k):
-    """For each site s of a length-k prefix, the sites a new entry placed at s
-    blocks through the pairs it ends.
+    """For each site s of a length-k prefix, the transfer step of a new entry
+    w placed at s: the pair of the sites below w and the sites w blocks.
 
-    After the placement there are k + 2 sites, numbered from the bottom, and
-    the new entry w sits between sites s and s + 1.  An earlier x below w
-    forbids later values above w (123), between the smallest entry and w
-    (132), or below the largest entry under w (231); an earlier x above w
-    forbids values above the smallest entry over w (213), between w and the
-    largest entry (312), or below w (321).
+    After the placement there are k + 2 sites, numbered from the bottom:
+    0..s below w and s + 1..k + 1 above it, site s split in two with both
+    halves inheriting its blocked bit.  An earlier x below w forbids later
+    values above w (123), between the smallest entry and w (132), or below
+    the largest entry under w (231); an earlier x above w forbids values
+    above the smallest entry over w (213), between w and the largest entry
+    (312), or below w (321).
     """
     out = []
     for s in range(k + 1):
-        below, above = s > 0, s < k
+        low = (2 << s) - 1  # sites 0..s
+        high = (2 << (k + 1)) - 1 - low  # sites s + 1..k + 1
         b = 0
-        if below and mask & 1:
-            b |= _sites(s + 1, k + 1)
-        if below and mask & 2:
-            b |= _sites(1, s)
-        if above and mask & 4:
-            b |= _sites(s + 2, k + 1)
-        if below and mask & 8:
-            b |= _sites(0, s - 1)
-        if above and mask & 16:
-            b |= _sites(s + 1, k)
-        if above and mask & 32:
-            b |= _sites(0, s)
-        out.append(b)
+        if s > 0:  # an earlier entry is below w
+            if mask & 1:
+                b |= high
+            if mask & 2:
+                b |= low - 1  # sites 1..s
+            if mask & 8:
+                b |= low >> 1  # sites 0..s - 1
+        if s < k:  # an earlier entry is above w
+            if mask & 4:
+                b |= high - (2 << s)  # sites s + 2..k + 1
+            if mask & 16:
+                b |= high - (2 << k)  # sites s + 1..k
+            if mask & 32:
+                b |= low
+        out.append((low, b))
     return out
 
 
-def pruned_count(n, mask, ballot_req):
-    """[|class at length m| for m = 1..n], in one pass over transfer states.
+def _counts(n, mask, ballot_req):
+    """|class at length m| for m = 1..n, each yielded as soon as its length
+    is finished: the counter's one pass over transfer states.
 
     The table maps (rank of the last entry, height) to {blocked sites:
-    multiplicity}.  Placing an entry at an open site s splits that site in
-    two, both inheriting its blocked bit, and adds ``_blocked_by``.  Without
-    the ballot flag the last rank and the height do not matter and are
-    dropped; with it, a height above the steps still to come is cut down to
-    that number, since such a prefix can no longer fall below zero.
+    multiplicity}.  Without the ballot flag the last rank and the height do
+    not matter and are dropped; with it, a height above the steps still to
+    come is cut down to that number, since such a prefix can no longer fall
+    below zero.
     """
     if n < 1:
-        return []
-    counts = [1]
+        return
+    yield 1
     table = {(1, 0): {0: 1}}
     for k in range(1, n):
-        moves = [((2 << s) - 1, s, b) for s, b in enumerate(_blocked_by(mask, k))]
+        moves = [(low, s, add) for s, (low, add) in enumerate(_blocked_by(mask, k))]
         room = n - k - 1
         nxt = {}
         size = 0
         for (last, height), group in table.items():
+            common = functools.reduce(int.__and__, group)  # sites that every state blocks
             targets = []
             for low, s, add in moves:
+                if common >> s & 1:
+                    continue
                 key = (0, 0)
                 if ballot_req:
                     h = height + 1 if s >= last else height - 1
@@ -178,10 +183,13 @@ def pruned_count(n, mask, ballot_req):
                         f"counting {_class_label(mask, ballot_req)} to n={n} needs more than "
                         f"{MAX_STATES:,} states at n={k + 1}; lower n"
                     )
-        counts.append(sum(sum(sub.values()) for sub in nxt.values()))
-        # drop keys whose every state was blocked: the next length would loop over their moves
-        table = {key: sub for key, sub in nxt.items() if sub}
-    return counts
+        yield sum(sum(sub.values()) for sub in nxt.values())
+        table = nxt  # no key is empty: each target's site is open in some state
+
+
+def pruned_count(n, mask, ballot_req):
+    """[|class at length m| for m = 1..n]: the whole pass of ``_counts``."""
+    return list(_counts(n, mask, ballot_req))
 
 
 def _completes(rows, q):
@@ -209,13 +217,13 @@ def pruned_levels(n, mask, ballot_req, rest=()):
 
     The class avoids the length-3 patterns of ``mask`` and the patterns of
     other lengths in ``rest``.  The frontier is every member of length k,
-    each with its blocked sites, last rank and height.  A length is built
-    one open site s at a time: each member open at s writes a child into
-    its next rows, the entries above s moved up by one and s + 1 appended.
-    A child whose new entry completes an occurrence of a pattern in
-    ``rest`` is dropped; a kept child's blocked sites follow the counter's
-    own step.  No length may build more than ``MAX_ROWS`` children; past
-    that it raises ``CapExceededError``.
+    each with its blocked sites and height (its last rank is its row's last
+    entry).  A length is built one open site s at a time: each member open
+    at s writes a child into its next rows, the entries above s moved up by
+    one and s + 1 appended.  A child whose new entry completes an occurrence
+    of a pattern in ``rest`` is dropped; a kept child's blocked sites follow
+    the counter's own step.  No length may build more than ``MAX_ROWS``
+    children; past that it raises ``CapExceededError``.
     """
     if n < 1:
         return
@@ -224,14 +232,13 @@ def pruned_levels(n, mask, ballot_req, rest=()):
     roots = 0 if any(len(q) == 1 for q in rest) else 1  # every entry is an occurrence of 1
     rows = np.ones((roots, 1), dtype=dtype)
     blocked = np.zeros(roots, dtype=bits)
-    last = np.ones(roots, dtype=np.intp)
     height = np.zeros(roots, dtype=np.intp)
     yield rows
     for k in range(1, n):
         common = int(np.bitwise_and.reduce(blocked))  # sites all members block (every site if none)
         sites = [s for s in range(k + 1) if not common >> s & 1]
-        open_ = np.zeros((k + 1, len(last)), dtype=bool)
-        up = height > 0
+        open_ = np.zeros((k + 1, len(rows)), dtype=bool)
+        last, up = rows[:, -1], height > 0
         for s in sites:
             np.equal(blocked & (1 << s), 0, out=open_[s])
             if ballot_req:
@@ -258,38 +265,32 @@ def pruned_levels(n, mask, ballot_req, rest=()):
             return
         s = rows[:, k].astype(np.intp) - 1
         b, sb = blocked[parent], s.astype(bits)
-        low = np.array([(2 << j) - 1 for j in range(k + 1)], dtype=bits)
-        add = np.array(_blocked_by(mask, k), dtype=bits)
+        low, add = (np.array(x, dtype=bits) for x in zip(*_blocked_by(mask, k)))
         blocked = (b & low[s]) | (b >> sb << (sb + 1)) | add[s]
         if ballot_req:
-            height = height[parent] + np.where(last[parent] <= s, 1, -1)
-        last = s + 1
+            height = height[parent] + np.where(prev[parent, -1] <= s, 1, -1)
 
 
 def check_rows(n, mask, ballot_req, rest=()):
-    """Refuse a listing to n of the class of ``mask`` and ``rest`` as
-    ``pruned_levels`` would, before any row is built: with
-    ``CapExceededError`` when some length needs more than ``MAX_ROWS`` rows.
-
-    For length-3 patterns alone every child of the walk is a member, so its
-    level sizes are the class counts, and one ``pruned_count`` decides.
-    With a pattern in ``rest``, or when the count passes ``MAX_STATES``, it
-    decides nothing, and the walk keeps its own bound.
-    """
+    """Refuse a listing to n as ``pruned_levels`` would, before any row is
+    built: for length-3 patterns alone, read ``_counts`` up to the first
+    length past ``MAX_ROWS``; with a pattern in ``rest``, or past
+    ``MAX_STATES``, leave the refusal to the walk's own bound."""
     if rest:  # the walk builds children that the completion test drops
         return
+    sizes = enumerate(_counts(n, mask, ballot_req), 1)
     try:
-        counts = pruned_count(n, mask, ballot_req)
+        length, size = next(((m, c) for m, c in sizes if c > MAX_ROWS), (0, 0))
     except CapExceededError:
         return
-    for length, size in enumerate(counts[1:], 2):  # the walk bounds the lengths from 2
-        if size > MAX_ROWS:
-            raise _too_many_rows(n, mask, ballot_req, (), size, length)
+    if size:
+        raise _too_many_rows(n, mask, ballot_req, (), size, length)
 
 
 def pruned_fill(n, mask, ballot_req, rest=()):
     """Members of the class at length n as an (m, n) array, lex order: the
     last level of ``pruned_levels``, sorted; at n = 0 the one empty row."""
+    check_rows(n, mask, ballot_req, rest)
     if n == 0:  # the empty permutation has no level
         return np.empty((1, 0), dtype=np.uint8)
     for rows in pruned_levels(n, mask, ballot_req, rest):

@@ -12,10 +12,10 @@ returns the members as the rows of an integer array, as the CLI prints them.
 
 Each function checks n and the pattern set once, applies the cap of the
 method it runs, parts the set with ``_kernels.split`` and makes one kernel
-call: ``oracle_fill`` or ``pruned_fill`` to list (after ``check_rows``, which
-refuses an oversized pruned listing before any row is built), and
-``oracle_tally`` or ``pruned_tally`` to count.  The kernels' module docstring
-states the pattern encoding, the engines and the refusal rule.
+call: ``oracle_fill`` or ``pruned_fill`` to list (``pruned_fill`` refuses an
+oversized listing itself), and ``oracle_tally`` or ``pruned_tally`` to count.
+The kernels' module docstring states the pattern encoding, the engines and
+the refusal rule.
 
 ``Caps`` holds both length caps and applies them: each function takes one
 as ``caps`` and refuses n past the cap of the method it runs (the oracle's
@@ -108,7 +108,6 @@ def enumerate_rows(
     mask, rest = _kernels.split(canonical_pattern_set(patterns))
     if method == "oracle":
         return _kernels.oracle_fill(n, mask, ballot, 0, rest)
-    _kernels.check_rows(n, mask, ballot, rest)
     return _partition_firsts(n, mask, ballot, rest)
 
 

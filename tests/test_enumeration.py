@@ -233,6 +233,13 @@ def test_walk_memory_is_a_small_multiple_of_its_output():
         assert peak < 4 * rows.nbytes, (ballot, f"{peak / rows.nbytes:.1f} x its output")
 
 
+def _walk(n, mask, ballot):
+    """Run the walk of ``pruned_levels`` to length n under its own bound,
+    without ``check_rows``."""
+    for _ in _kernels.pruned_levels(n, mask, ballot):
+        pass
+
+
 def test_refused_listing_memory_is_bounded():
     # the walk refuses length 11 from the size of its open-site table, one
     # bool per (member, site) of length 10, before any row of length 11 is
@@ -240,7 +247,7 @@ def test_refused_listing_memory_is_bounded():
     tracemalloc.start()
     try:
         with pytest.raises(CapExceededError, match="9,823,275 rows at length 11"):
-            _kernels.pruned_fill(11, 0, True)
+            _walk(11, 0, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -255,7 +262,7 @@ def test_check_rows_refuses_as_the_walk_does(monkeypatch):
     for mask in range(64):
         for ballot in (True, False):
             messages = []
-            for refuse in (_kernels.pruned_fill, _kernels.check_rows):
+            for refuse in (_walk, _kernels.check_rows):
                 try:
                     refuse(7, mask, ballot)
                     messages.append(None)
@@ -276,6 +283,32 @@ def test_enumerate_refuses_before_listing(monkeypatch, capsys):
     assert out == ""
     assert err == ("error: ballot {} at n=11 needs 9,823,275 rows at length 11, "
                    "more than 4,000,000; lower n\n")
+
+
+def test_check_rows_stops_at_the_first_length_past_the_bound(monkeypatch):
+    # ballot {} passes the row bound at length 11: the counter's pass stops
+    # there, and never steps a prefix of length 11 or more
+    seen = []
+    blocked_by = _kernels._blocked_by
+    monkeypatch.setattr(_kernels, "_blocked_by", lambda mask, k: seen.append(k) or
+                        blocked_by(mask, k))
+    with pytest.raises(CapExceededError, match=r"^ballot \{\} at n=40 needs 9,823,275 rows "
+                                               r"at length 11, more than 4,000,000; lower n$"):
+        _kernels.check_rows(40, 0, True)
+    assert seen and max(seen) <= 10
+
+
+def test_enumerate_refuses_below_the_state_bound(monkeypatch, capsys):
+    # ballot {132} passes the state bound at length 21, but its counts pass
+    # the row bound at length 17 first, so no row is built
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr(_kernels, "pruned_levels", walk)
+    assert main(["enumerate", "--patterns", "132", "--n", "21", "--pruned-max-n", "21"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "6,952,660 rows at length 17" in err
 
 
 def test_row_refusal_past_the_state_bound_is_the_walk_s(monkeypatch):
