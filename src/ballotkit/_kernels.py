@@ -34,11 +34,11 @@ numpy.
   children are built per length; past that it raises ``CapExceededError``.
   ``pruned_fill`` refuses first (``check_rows``): for length-3 patterns
   alone the walk's level sizes are the class counts, so ``_counts`` is read
-  up to the first length past ``MAX_ROWS``, before any row is built; with a
-  pattern in ``rest``, or once the counter passes ``MAX_STATES``, the walk's
-  own bound decides.  It keeps the last length, and one lexsort gives it
-  lexicographic order.  ``_blocked_by`` states the transfer step once, for
-  the counter and the walk.
+  up to the first length past ``MAX_ROWS``, before any row is built (a pass
+  that reaches ``MAX_STATES`` first refuses with the counter's error); with
+  a pattern in ``rest`` the walk's own bound decides.  It keeps the last
+  length, and one lexsort gives it lexicographic order.  ``_blocked_by``
+  states the transfer step once, for the counter and the walk.
 - ``oracle_fill``: classify every permutation of 1..n and keep the members,
   in lexicographic order.  Deliberately free of pruning and of the pruned
   kernels' logic; this is the independent reference the pruned paths are
@@ -58,9 +58,9 @@ numpy.
   length are computed once and kept, n! bytes (3.6 MB at n = 10), so every
   class of that length is listed from one classification.  From n = 11 on
   every block is classified afresh and kept nowhere.
-- ``oracle_census``: the same codes tallied by (set of contained patterns,
-  ballot flag), memoized per length, so one classification of length n
-  gives the oracle count of every class.
+- ``oracle_census``: the same codes tallied by code, memoized per length, so
+  one classification of length n gives the oracle count of every class.
+  ``_kept`` alone says which codes a class keeps, listed or tallied.
 """
 from __future__ import annotations
 
@@ -274,17 +274,14 @@ def pruned_levels(n, mask, ballot_req, rest=()):
 def check_rows(n, mask, ballot_req, rest=()):
     """Refuse a listing to n as ``pruned_levels`` would, before any row is
     built: for length-3 patterns alone, read ``_counts`` up to the first
-    length past ``MAX_ROWS``; with a pattern in ``rest``, or past
-    ``MAX_STATES``, leave the refusal to the walk's own bound."""
+    length past ``MAX_ROWS``.  A pass that reaches ``MAX_STATES`` first
+    refuses with the counter's error (no class does below n = 150); with a
+    pattern in ``rest`` the walk's own bound decides."""
     if rest:  # the walk builds children that the completion test drops
         return
-    sizes = enumerate(_counts(n, mask, ballot_req), 1)
-    try:
-        length, size = next(((m, c) for m, c in sizes if c > MAX_ROWS), (0, 0))
-    except CapExceededError:
-        return
-    if size:
-        raise _too_many_rows(n, mask, ballot_req, (), size, length)
+    for length, size in enumerate(_counts(n, mask, ballot_req), 1):
+        if size > MAX_ROWS:
+            raise _too_many_rows(n, mask, ballot_req, (), size, length)
 
 
 def pruned_fill(n, mask, ballot_req, rest=()):
@@ -461,22 +458,27 @@ def _contains_any(rows, patterns):
     return hit
 
 
+def _kept(codes, mask, ballot_req):
+    """Whether each classification code is a member's: it holds no pattern
+    of ``mask`` and, with ``ballot_req``, the ballot flag."""
+    wanted = _BALLOT_BIT if ballot_req else 0
+    return (codes & (mask | wanted)) == wanted
+
+
 def oracle_fill(n, mask, ballot_req, first, rest=()):
     """Members of the class at length n as an (m, n) uint8 array, lex order.
 
-    Keeps the permutations of 1..n that contain no pattern of ``mask`` and,
-    when ``ballot_req`` is set, are ballot; then, block by block, those
-    that also avoid every pattern of ``rest`` (``_contains_any``).
-    ``first`` > 0 keeps the blocks whose prefix starts with that value.
+    Keeps the permutations of 1..n whose codes ``_kept`` selects; then,
+    block by block, those that also avoid every pattern of ``rest``
+    (``_contains_any``).  ``first`` > 0 keeps the blocks whose prefix
+    starts with that value.
     """
-    forbidden = mask | _BALLOT_BIT if ballot_req else mask
-    wanted = _BALLOT_BIT if ballot_req else 0
     blocks = [np.empty((0, n), dtype=np.uint8)]
     for (prefix, tail), codes in zip(_blocks(n), _block_codes(n)):
         # a block's codes are in the order of the tail rows it is built from,
         # so only the mask's members are built (``compress`` is several times
         # faster than a boolean index; about half the blocks select none)
-        members = tail.compress((codes & forbidden) == wanted, axis=0)
+        members = tail.compress(_kept(codes, mask, ballot_req), axis=0)
         if len(members) == 0 or first > 0 and prefix[0] != first:
             continue
         rows = _block(prefix, members)
@@ -488,29 +490,25 @@ def oracle_fill(n, mask, ballot_req, first, rest=()):
 
 @functools.cache
 def oracle_census(n):
-    """Every permutation of length n tallied by what the oracle sees in it.
-
-    A read-only (64, 2) int64 table: entry [s, b] counts the permutations
-    whose set of contained length-3 patterns is the 6-bit set s and whose
-    ballot flag is b.  One classification of length n thus gives the oracle
-    count of every class, ballot and plain; it is computed once per n.
-    """
+    """Every permutation of length n tallied by its classification code, as
+    a flat, read-only table of 128 int64 entries, so one classification of
+    length n gives the oracle count of every class; computed once per n."""
     table = np.zeros(2 * _BALLOT_BIT, dtype=np.int64)
     for codes in _block_codes(n):
         table += np.bincount(codes, minlength=2 * _BALLOT_BIT)
-    table = np.ascontiguousarray(table.reshape(2, _BALLOT_BIT).T)
     table.flags.writeable = False
     return table
 
 
 def oracle_tally(n, mask, ballot_req, rest=()):
-    """[|class at length m| for m = 1..n] from the oracle: read off the
-    census for length-3 patterns alone, else the sizes of its listings."""
+    """[|class at length m| for m = 1..n] from the oracle: the census entries
+    ``_kept`` selects for length-3 patterns alone, else its listings' sizes."""
     if rest:
         return [len(oracle_fill(m, mask, ballot_req, 0, rest)) for m in range(1, n + 1)]
-    avoided = [s for s in range(_BALLOT_BIT) if not s & mask]
-    column = slice(1, 2) if ballot_req else slice(None)
-    return [int(oracle_census(m)[avoided, column].sum()) for m in range(1, n + 1)]
+    # every code, uint8 as ``_classify`` gives them: an int64 range runs
+    # other numpy loops, 0.1 MB more peak RSS for ``verify --n-max 8``
+    kept = _kept(np.arange(2 * _BALLOT_BIT, dtype=np.uint8), mask, ballot_req)
+    return [int(oracle_census(m)[kept].sum()) for m in range(1, n + 1)]
 
 
 def backend_name() -> str:

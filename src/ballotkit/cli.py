@@ -106,8 +106,8 @@ def parse_json_output(text: str) -> dict:
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    for method in ("oracle", "pruned"):
-        sub.add_argument(f"--{method}-max-n", type=_int_from(1), default=getattr(Caps, method),
+    for method, cap in vars(Caps()).items():
+        sub.add_argument(f"--{method}-max-n", type=_int_from(1), default=cap,
                          help=f"refuse {method} enumeration and counting above this length "
                               "(default %(default)s)")
 
@@ -312,8 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_biject)
 
     p = sub.add_parser("verify", help="run the cross-check suites")
-    p.add_argument("--suite", choices=("tables", "formulas", "bijections", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=(*verification._SUITES, "all"), default="all")
     p.add_argument("--n-max", type=_int_from(1), default=7)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_verify)

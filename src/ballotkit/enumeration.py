@@ -43,14 +43,16 @@ class Caps:
     pruned: int = 16
 
     def __post_init__(self) -> None:
-        for name, cap in (("oracle", self.oracle), ("pruned", self.pruned)):
+        for name, cap in vars(self).items():
             if cap < 1:
                 raise InvalidInputError(f"the {name} cap must be at least 1, got {cap}")
 
     def check(self, method: str, n: int, what: str) -> None:
-        """Refuse length ``n`` past the cap of ``method``, "oracle" or
-        "pruned"; the error names that method's flag."""
-        cap = getattr(self, method)
+        """Refuse a ``method`` other than "oracle" and "pruned", and length
+        ``n`` past the cap of ``method``; the error names that method's flag."""
+        cap = vars(self).get(method)
+        if cap is None:
+            raise InvalidInputError(f"unknown {what} method: {method!r}")
         if n > cap:
             raise CapExceededError(
                 f"{method} {what} at n={n} exceeds the cap of {cap}; "
@@ -100,8 +102,6 @@ def enumerate_rows(
     above its cap in ``caps``, and "pruned" also a length of more than
     ``_kernels.MAX_ROWS`` rows.  Length 0 gives one empty row.
     """
-    if method not in ("oracle", "pruned"):
-        raise InvalidInputError(f"unknown enumeration method: {method!r}")
     caps.check(method, n, "enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
@@ -167,8 +167,6 @@ def count_sequence(
     """Counts for n = 1..n_max with the stated provenance."""
     if n_max < 1:
         raise InvalidInputError("n_max must be at least 1")
-    if method not in ("oracle", "pruned"):
-        raise InvalidInputError(f"unknown counting method: {method!r}")
     caps.check(method, n_max, "counting")
     pset = canonical_pattern_set(patterns)
     mask, rest = _kernels.split(pset)

@@ -12,7 +12,7 @@ import time
 
 from . import bijections, formulas
 from .enumeration import Caps, count_sequence, enumerate_oracle, enumerate_pruned
-from .errors import InvalidInputError
+from .errors import BallotkitError, CapExceededError, InvalidInputError
 from .patterns import (
     ALL_CLASSES,
     PatternSet,
@@ -102,7 +102,9 @@ def _named_check(name: str, fn) -> dict:
     try:
         detail = fn()
         status, failure = "pass", None
-    except AssertionError as exc:
+    except CapExceededError:  # a refusal of the whole run
+        raise
+    except (AssertionError, BallotkitError) as exc:  # a failure of this row
         detail, status, failure = None, "fail", str(exc)
     row = {"check": name, "status": status, "seconds": round(time.perf_counter() - started, 6)}
     if detail:

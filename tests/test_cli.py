@@ -482,6 +482,23 @@ def test_verify_fails_with_the_first_failing_named_row(capsys, monkeypatch):
     assert err == "verify: FAIL at transport-132,213: 231,312 builder at n=2\n"
 
 
+def test_verify_reports_a_library_error_as_the_row_s_failure(capsys, monkeypatch):
+    # a map under check that raises a library error fails its own row; the
+    # report is still written, and the other rows still run
+    first, *others = bijections.DESCENT_WORD_FAMILIES
+    monkeypatch.setattr(bijections, "DESCENT_WORD_FAMILIES",
+                        (dataclasses.replace(first, admits=lambda w: "DD" not in w), *others))
+    code, out, err = run(capsys, "verify", "--suite", "bijections", "--n-max", "6")
+    assert code == 1
+    payload = parse_json_output(out)
+    failures = {row["check"]: row.get("failure") for row in payload["rows"]}
+    assert payload["pass"] is False and len(failures) == 8
+    assert {check for check, failure in failures.items() if failure} == {
+        "dyck-roundtrip", "transport-132,213"}  # both build {132,213} members from words
+    assert err == ("verify: FAIL at dyck-roundtrip: no member of {132,213} has descent "
+                   "word 'UUDD'\n")
+
+
 _BROKEN_CHECKS = """
 import dataclasses, json
 from ballotkit import bijections, formulas, verification

@@ -311,18 +311,33 @@ def test_enumerate_refuses_below_the_state_bound(monkeypatch, capsys):
     assert "6,952,660 rows at length 17" in err
 
 
-def test_row_refusal_past_the_state_bound_is_the_walk_s(monkeypatch):
-    # when the counter passes its state bound it cannot tell the level sizes,
-    # and the walk alone decides: no cap error where a listing fits
+def test_row_refusal_past_the_state_bound_is_the_counter_s(monkeypatch):
+    # a counter that passes its state bound refuses the listing itself,
+    # before the walk builds any row; the oracle still lists
+    def walk(*args):
+        raise AssertionError("the walk ran")
+
     monkeypatch.setattr(_kernels, "MAX_STATES", 10)
+    monkeypatch.setattr(_kernels, "pruned_levels", walk)
     pset = parse_pattern_set("132")
-    with pytest.raises(CapExceededError, match="states"):
-        count_sequence(pset, 8)
-    assert enumerate_pruned(8, pset) == enumerate_oracle(8, pset)
-    monkeypatch.setattr(_kernels, "MAX_ROWS", 100)
-    with pytest.raises(CapExceededError, match=r"ballot \{132\} at n=8 needs 196 rows "
-                                               r"at length 8"):
+    with pytest.raises(CapExceededError, match=r"^counting ballot \{132\} to n=8 needs more "
+                                               r"than 10 states at n=6; lower n$"):
         enumerate_pruned(8, pset)
+    assert len(enumerate_oracle(8, pset)) == 196
+
+
+def test_every_length3_count_passes_the_row_bound_before_the_state_bound():
+    # so check_rows decides every listing of length-3 patterns alone from
+    # the counts: no class reaches MAX_STATES before a length passes
+    # MAX_ROWS, and the walk's own bound never has to judge one
+    for mask in range(64):
+        for ballot in (True, False):
+            try:
+                for size in _kernels._counts(40, mask, ballot):
+                    if size > _kernels.MAX_ROWS:
+                        break
+            except CapExceededError as exc:
+                pytest.fail(f"mask {mask}, ballot {ballot}: {exc}")
 
 
 def test_enumerate_rows_shapes():
@@ -330,7 +345,7 @@ def test_enumerate_rows_shapes():
         assert enumerate_rows(0, (), method=method).shape == (1, 0)
         assert enumerate_rows(5, parse_pattern_set("123,231"), method=method).shape == (0, 5)
         assert enumerate_rows(4, parse_pattern_set("1234"), method=method).shape == (8, 4)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^unknown enumeration method: 'guess'$"):
         enumerate_rows(3, (), method="guess")
     # an invalid pattern set is refused at n = 0 as at every other length
     for n in (0, 3):
@@ -389,7 +404,7 @@ def test_kernels_answer_length_0():
                              _kernels.pruned_fill(0, mask, ballot, rest)):
                     assert rows.shape == (1, 0), (mask, ballot, rest)
     census = _kernels.oracle_census(0)
-    assert census[0, 1] == census.sum() == 1
+    assert census[_kernels._BALLOT_BIT] == census.sum() == 1
 
 
 def test_oracle_tests_longer_patterns_on_mask_members_only(monkeypatch):
@@ -437,13 +452,17 @@ def test_oracle_classifies_each_length_once(monkeypatch):
 
 
 def test_oracle_census_matches_naive_census(census):
+    # one entry per classification code: the set of contained length-3
+    # patterns, plus the ballot bit for ballot permutations
     for n in range(1, 9):
-        expected = [[0, 0] for _ in range(64)]
+        expected = [0] * 128
         for (length, found, is_ballot_perm), size in census.items():
             if length == n:
                 contained = sum(1 << i for i, q in enumerate(LENGTH3_PATTERNS) if q in found)
-                expected[contained][is_ballot_perm] += size
-        assert _kernels.oracle_census(n).tolist() == expected, n
+                expected[contained | is_ballot_perm * _kernels._BALLOT_BIT] += size
+        table = _kernels.oracle_census(n)
+        assert table.dtype == np.int64 and not table.flags.writeable, n
+        assert table.tolist() == expected, n
     for mask in range(64):
         pset = tuple(_forbidden(mask))
         for ballot in (True, False):
@@ -572,7 +591,7 @@ def test_count_sequence_records():
     assert oracle_record.provenance == "oracle"
     with pytest.raises(InvalidInputError):
         count_sequence(parse_pattern_set("321"), 0)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="^unknown counting method: 'guess'$"):
         count_sequence(parse_pattern_set("321"), 3, "guess")
 
 
