@@ -24,6 +24,7 @@ import tracemalloc
 from ballotkit import _kernels
 from ballotkit._kernels import (
     check_rows,
+    listing_rows,
     oracle_census,
     oracle_fill,
     pruned_count,
@@ -67,18 +68,22 @@ CASES = [
      lambda: pruned_count(40, _mask("231,312,321"), True)[-1]),
     ("pruned_count {132} n=20", lambda: pruned_count(20, _mask("132"), True)[-1]),
     ("pruned_count {123,132} n=100", lambda: pruned_count(100, _mask("123,132"), True)[-1]),
-    # the classes the benchmark's enumerate workload lists
+    # the classes the benchmark's enumerate workload lists, as packed keys;
+    # "rows" decodes every row at once, as enumerate_rows returns them
     ("pruned_fill {} n=9", lambda: len(pruned_fill(9, 0, True))),
+    ("pruned_fill {} n=9 rows", lambda: len(listing_rows(pruned_fill(9, 0, True), 9))),
     ("pruned_fill {132} n=11", lambda: len(pruned_fill(11, _mask("132"), True))),
     ("pruned_fill {231} plain n=10", lambda: len(pruned_fill(10, _mask("231"), False))),
     ("pruned_fill {321} n=11", lambda: len(pruned_fill(11, _mask("321"), True))),
-    # the largest listing the row bound accepts, whose sort sets the peak
+    # the largest listing the row bound accepts: its keys set the peak
     ("pruned_fill {} plain n=10", lambda: len(pruned_fill(10, 0, False))),
+    ("pruned_fill {} plain n=10 rows", lambda: len(listing_rows(pruned_fill(10, 0, False), 10))),
     # the single member of length 100 and 300, whose blocked sites outgrow
-    # 64 bits: one row, whose few open sites are tested one at a time
+    # 64 bits: one row, whose few open sites are tested and stepped one at a
+    # time; past n = 16 the row path
     ("pruned_fill {123,132} n=100", lambda: len(pruned_fill(100, _mask("123,132"), True))),
     ("pruned_fill {123,132} n=300", lambda: len(pruned_fill(300, _mask("123,132"), True))),
-    # patterns of length 4, dropped by the completion test
+    # patterns of length 4, dropped by the completion test: the row path
     ("pruned_fill {1234} plain n=10", lambda: len(pruned_fill(10, 0, False, _rest("1234")))),
     ("pruned_fill {3142,2413} n=9",
      lambda: len(pruned_fill(9, 0, True, _rest("2413,3142")))),

@@ -1,65 +1,29 @@
-"""Hot enumeration and counting kernels.
+"""Hot enumeration and counting kernels, on the interpreter and numpy.
 
-Kernels encode the length-3 patterns of a set as a 6-bit mask over the
-lexicographic pattern order 123, 132, 213, 231, 312, 321; ``split`` is the
-one place a pattern set becomes that mask and the tuple ``rest`` of its
-patterns of other lengths.  The level walk and the oracle take both; the
-counter and the census take the mask alone.  So each method has one counting
-entry point that picks its engine: ``pruned_tally`` runs the counter for
-length-3 patterns alone and otherwise counts the walk's levels, and
-``oracle_tally`` reads the census for length-3 patterns alone and otherwise
-counts the oracle's listings.  Each lists through one entry point too,
-``pruned_fill`` or ``oracle_fill``.
-
-There are three kernels and a census.  All run on the interpreter and
-numpy.
+A pattern set enters as the 6-bit mask of its length-3 patterns, over the
+lexicographic order 123, 132, 213, 231, 312, 321, and the tuple ``rest`` of
+its other patterns; ``split`` is the one place a set becomes both.  Each
+method counts through one entry point, ``pruned_tally`` or ``oracle_tally``,
+and lists through one, ``pruned_fill`` or ``oracle_fill``.
 
 - ``pruned_count``: a transfer-state counter (a generating tree in the sense
-  of West 1995).  It grows standardized prefixes one rank at a time, but
-  keeps only what decides their future: which value sites an earlier pair
-  already blocks, the rank of the last entry, and the ascent-minus-descent
-  height.  A ``{state: multiplicity}`` table is carried forward one length
-  at a time (``_counts``), each length's count yielded once it is finished.
-  Counts outgrow int64, so it works on Python ints.  At most ``MAX_STATES``
-  states are kept per length; past that it raises ``CapExceededError``.
-- ``pruned_levels``: the counter's generating tree walked one length at a
-  time, yielding every member of each length: its standardized row, blocked
-  sites and height (its last rank is its row's last entry).  A child is made
-  only at an open site, one whose entry completes no forbidden triple and,
-  with the ballot flag, takes the height no lower than zero; prefixes of
-  members are members, so the walk visits members only and no prefix without
-  a completion.  A length is built one site at a time, from the members open
-  there.  Patterns not of length 3 are tested on the children: one whose new
-  last entry completes an occurrence is dropped.  At most ``MAX_ROWS``
-  children are built per length; past that it raises ``CapExceededError``.
-  ``pruned_fill`` refuses first (``check_rows``): for length-3 patterns
-  alone the walk's level sizes are the class counts, so ``_counts`` is read
-  up to the first length past ``MAX_ROWS``, before any row is built (a pass
-  that reaches ``MAX_STATES`` first refuses with the counter's error); with
-  a pattern in ``rest`` the walk's own bound decides.  It keeps the last
-  length, and one lexsort gives it lexicographic order.  ``_blocked_by``
-  states the transfer step once, for the counter and the walk.
-- ``oracle_fill``: classify every permutation of 1..n and keep the members,
-  in lexicographic order.  Deliberately free of pruning and of the pruned
-  kernels' logic; this is the independent reference the pruned paths are
-  validated against.  It is vectorized with numpy: the permutations are
-  uint8 blocks, one per fixed prefix of max(1, n - 9) values, each followed
-  by the rows of ``_lex_rows`` of the values left free (so that no block
-  exceeds 9! rows), as ``_blocks`` states once; each row's code holds its
-  set of contained length-3 patterns, from one pass over all C(n, 3)
-  position triples whose comparison codes a lookup table maps to patterns,
-  and its ballot flag, from a cumulative sum of +1/-1 steps.  A call builds
-  only the rows of each block that its codes select, and drops those that
-  contain a pattern of another length, block by block, with a whole-array
-  test of every choice of positions (``_contains_any``).
-  Every permutation of a length up to n = ``_FREE_MAX`` = 9 is kept as one
-  read-only row array (3.3 MB at n = 9), each built from the one below, to
-  serve as block tails.  Up to n = ``_FREE_MAX`` + 1 = 10 the codes of a
-  length are computed once and kept, n! bytes (3.6 MB at n = 10), so every
-  class of that length is listed from one classification.  From n = 11 on
-  every block is classified afresh and kept nowhere.
-- ``oracle_census``: the same codes tallied by code, memoized per length, so
-  one classification of length n gives the oracle count of every class.
+  of West 1995) that carries a ``{state: multiplicity}`` table one length at
+  a time (``_counts``), at most ``MAX_STATES`` states a length.
+- ``pruned_levels``: the same tree walked over the members themselves, at
+  most ``MAX_ROWS`` children a length.  ``_blocked_by`` states the transfer
+  step once for both, and each builds it only for the sites some prefix
+  leaves open.  ``pruned_fill`` refuses an oversized listing before any row
+  is built (``check_rows``) and keeps the walk's last length: for length-3
+  patterns alone and n <= ``KEY_MAX_N`` = 16 as packed uint64 keys, 4 bits
+  an entry with the first entry highest, sorted in place and decoded a range
+  at a time by ``listing_rows``; otherwise as rows, sorted by one lexsort.
+- ``oracle_fill``: classify every permutation of 1..n, block by block
+  (``_blocks``, ``_classify``), and keep the members in lex order.  Free of
+  pruning and of the pruned kernels' logic, it is the independent reference
+  the pruned paths are validated against.  Rows up to n = 9 and codes up to
+  n = 10 are memoized, so every class of such a length is listed from one
+  classification.
+- ``oracle_census``: the same codes tallied by code, memoized per length.
   ``_kept`` alone says which codes a class keeps, listed or tallied.
 """
 from __future__ import annotations
@@ -100,9 +64,9 @@ def _too_many_rows(n, mask, ballot_req, rest, size, length):
         f"at length {length}, more than {MAX_ROWS:,}; lower n")
 
 
-def _blocked_by(mask, k):
-    """For each site s of a length-k prefix, the transfer step of a new entry
-    w placed at s: the pair of the sites below w and the sites w blocks.
+def _blocked_by(mask, k, s):
+    """The transfer step of a new entry w placed at site s of a length-k
+    prefix: the pair of the sites below w and the sites w blocks.
 
     After the placement there are k + 2 sites, numbered from the bottom:
     0..s below w and s + 1..k + 1 above it, site s split in two with both
@@ -110,54 +74,58 @@ def _blocked_by(mask, k):
     values above w (123), between the smallest entry and w (132), or below
     the largest entry under w (231); an earlier x above w forbids values
     above the smallest entry over w (213), between w and the largest entry
-    (312), or below w (321).
+    (312), or below w (321).  Callers build the pair only for the sites
+    some prefix leaves open.
     """
-    out = []
-    for s in range(k + 1):
-        low = (2 << s) - 1  # sites 0..s
-        high = (2 << (k + 1)) - 1 - low  # sites s + 1..k + 1
-        b = 0
-        if s > 0:  # an earlier entry is below w
-            if mask & 1:
-                b |= high
-            if mask & 2:
-                b |= low - 1  # sites 1..s
-            if mask & 8:
-                b |= low >> 1  # sites 0..s - 1
-        if s < k:  # an earlier entry is above w
-            if mask & 4:
-                b |= high - (2 << s)  # sites s + 2..k + 1
-            if mask & 16:
-                b |= high - (2 << k)  # sites s + 1..k
-            if mask & 32:
-                b |= low
-        out.append((low, b))
-    return out
+    low = (2 << s) - 1  # sites 0..s
+    high = (2 << (k + 1)) - 1 - low  # sites s + 1..k + 1
+    b = 0
+    if s > 0:  # an earlier entry is below w
+        if mask & 1:
+            b |= high
+        if mask & 2:
+            b |= low - 1  # sites 1..s
+        if mask & 8:
+            b |= low >> 1  # sites 0..s - 1
+    if s < k:  # an earlier entry is above w
+        if mask & 4:
+            b |= high - (2 << s)  # sites s + 2..k + 1
+        if mask & 16:
+            b |= high - (2 << k)  # sites s + 1..k
+        if mask & 32:
+            b |= low
+    return low, b
 
 
 def _counts(n, mask, ballot_req):
     """|class at length m| for m = 1..n, each yielded as soon as its length
-    is finished: the counter's one pass over transfer states.
+    is finished: the counter's one pass over transfer states, in Python ints
+    (counts outgrow int64).
 
-    The table maps (rank of the last entry, height) to {blocked sites:
-    multiplicity}.  Without the ballot flag the last rank and the height do
-    not matter and are dropped; with it, a height above the steps still to
-    come is cut down to that number, since such a prefix can no longer fall
-    below zero.
+    A state holds what decides a prefix's future: the value sites an earlier
+    pair already blocks, the rank of its last entry and its height (ascents
+    minus descents).  The table maps (rank of the last entry, height) to
+    {blocked sites: multiplicity}.  Without the ballot flag the last rank and
+    the height do not matter and are dropped; with it, a height above the
+    steps still to come is cut down to that number, since such a prefix can
+    no longer fall below zero.
     """
     if n < 1:
         return
     yield 1
     table = {(1, 0): {0: 1}}
     for k in range(1, n):
-        moves = [(low, s, add) for s, (low, add) in enumerate(_blocked_by(mask, k))]
+        # the sites that every state of a group blocks, and of the whole table
+        commons = {key: functools.reduce(int.__and__, group) for key, group in table.items()}
+        every = functools.reduce(int.__and__, commons.values(), -1)  # all if none
+        moves = [(s, *_blocked_by(mask, k, s)) for s in range(k + 1) if not every >> s & 1]
         room = n - k - 1
         nxt = {}
         size = 0
         for (last, height), group in table.items():
-            common = functools.reduce(int.__and__, group)  # sites that every state blocks
+            common = commons[last, height]
             targets = []
-            for low, s, add in moves:
+            for s, low, add in moves:
                 if common >> s & 1:
                     continue
                 key = (0, 0)
@@ -213,7 +181,10 @@ def _completes(rows, q):
 
 def pruned_levels(n, mask, ballot_req, rest=()):
     """Members of the class at each length k = 1..n, one unsorted (m, k)
-    array per length, from one walk.
+    array per length, from one walk.  For length-3 patterns alone and
+    n <= ``KEY_MAX_N`` the last length comes as the 1-D array of its
+    members' packed keys instead: entry j less one in bits 4 (n - 1 - j) and
+    up, the first entry highest, so that key order is lex order.
 
     The class avoids the length-3 patterns of ``mask`` and the patterns of
     other lengths in ``rest``.  The frontier is every member of length k,
@@ -222,7 +193,8 @@ def pruned_levels(n, mask, ballot_req, rest=()):
     at s writes a child into its next rows, the entries above s moved up by
     one and s + 1 appended.  A child whose new entry completes an occurrence
     of a pattern in ``rest`` is dropped; a kept child's blocked sites follow
-    the counter's own step.  No length may build more than ``MAX_ROWS``
+    the counter's own step.  Prefixes of members are members, so the walk
+    visits members only.  No length may build more than ``MAX_ROWS``
     children; past that it raises ``CapExceededError``.
     """
     if n < 1:
@@ -233,7 +205,8 @@ def pruned_levels(n, mask, ballot_req, rest=()):
     rows = np.ones((roots, 1), dtype=dtype)
     blocked = np.zeros(roots, dtype=bits)
     height = np.zeros(roots, dtype=np.intp)
-    yield rows
+    keyed = not rest and n <= KEY_MAX_N
+    yield np.zeros(roots, dtype=np.uint64) if keyed and n == 1 else rows  # key of (1,) is 0
     for k in range(1, n):
         common = int(np.bitwise_and.reduce(blocked))  # sites all members block (every site if none)
         sites = [s for s in range(k + 1) if not common >> s & 1]
@@ -246,29 +219,48 @@ def pruned_levels(n, mask, ballot_req, rest=()):
         size = np.count_nonzero(open_)
         if size > MAX_ROWS:
             raise _too_many_rows(n, mask, ballot_req, rest, size, k + 1)
-        prev, rows = rows, np.empty((size, k + 1), dtype=dtype)
-        parent = np.empty(size, dtype=np.intp)
+        prev = rows
+        if k + 1 < n:
+            rows = np.empty((size, k + 1), dtype=dtype)
+        else:  # the last length needs no state to grow from
+            del blocked, height
+            rows = np.empty(size, dtype=np.uint64) if keyed else np.empty((size, n), dtype=dtype)
         stop = 0
         for s in sites:
-            members = open_[s].nonzero()[0]
-            start, stop = stop, stop + len(members)
-            p = prev[members]
-            np.add(p, p > s, out=rows[start:stop, :k])
-            rows[start:stop, k], parent[start:stop] = s + 1, members
+            p = prev.compress(open_[s], axis=0)  # the members open at s
+            start, stop = stop, stop + len(p)
+            p += p > s  # the entries above s move up by one
+            if rows.ndim == 2:
+                rows[start:stop, :k], rows[start:stop, k] = p, s + 1
+                continue
+            keys = rows[start:stop]
+            keys[...] = s  # the last entry, s + 1, less one
+            for j in range(k):
+                keys |= np.left_shift(p[:, j] - 1, 4 * (k - j), dtype=np.uint64)
         if rest:
             # the parent avoids every q, so only an occurrence that ends at
             # the new entry can be new
             keep = ~np.logical_or.reduce([_completes(rows, q) for q in rest])
-            rows, parent = rows[keep], parent[keep]
+            rows = rows[keep]
         yield rows
-        if k + 1 == n:  # the last length needs no state to grow from
+        if k + 1 == n:
             return
-        s = rows[:, k].astype(np.intp) - 1
-        b, sb = blocked[parent], s.astype(bits)
-        low, add = (np.array(x, dtype=bits) for x in zip(*_blocked_by(mask, k)))
-        blocked = (b & low[s]) | (b >> sb << (sb + 1)) | add[s]
+        # each child's site and parent, in the order the children were written
+        s, parent = open_.nonzero()
+        if rest:
+            s, parent = s[keep], parent[keep]
         if ballot_req:
             height = height[parent] + np.where(prev[parent, -1] <= s, 1, -1)
+        low, add = np.zeros(k + 1, dtype=bits), np.zeros(k + 1, dtype=bits)
+        for site in sites:
+            low[site], add[site] = _blocked_by(mask, k, site)
+        b, sb = blocked[parent], s.astype(bits)
+        blocked = (b & low[s]) | (b >> sb << (sb + 1)) | add[s]
+        del s, parent, b, sb  # not to be held beside the next length
+
+
+#: Longest length whose members ``pruned_fill`` lists as packed keys.
+KEY_MAX_N = 16
 
 
 def check_rows(n, mask, ballot_req, rest=()):
@@ -285,14 +277,34 @@ def check_rows(n, mask, ballot_req, rest=()):
 
 
 def pruned_fill(n, mask, ballot_req, rest=()):
-    """Members of the class at length n as an (m, n) array, lex order: the
-    last level of ``pruned_levels``, sorted; at n = 0 the one empty row."""
+    """Members of the class at length n in lex order: the last level of
+    ``pruned_levels``, sorted; at n = 0 the one empty row.  For length-3
+    patterns alone and n <= ``KEY_MAX_N`` it is their packed keys, sorted in
+    place, else an (m, n) array sorted by one lexsort; ``listing_rows``
+    reads rows from either."""
     check_rows(n, mask, ballot_req, rest)
     if n == 0:  # the empty permutation has no level
         return np.empty((1, 0), dtype=np.uint8)
-    for rows in pruned_levels(n, mask, ballot_req, rest):
+    for level in pruned_levels(n, mask, ballot_req, rest):
         pass
-    return rows[np.lexsort(rows.T[::-1])]
+    if level.ndim == 1:
+        level.sort()
+        return level
+    return level[np.lexsort(level.T[::-1])]
+
+
+def listing_rows(listing, n, start=0, stop=None):
+    """Members ``start`` to ``stop`` (all by default) of a length-n listing
+    as an (m, n) array: its rows, or its packed keys decoded one column at
+    a time."""
+    part = listing[start:stop]
+    if part.ndim == 2:
+        return part
+    rows = np.empty((len(part), n), dtype=np.uint8)
+    for j in range(n):
+        rows[:, j] = part >> np.uint64(4 * (n - 1 - j)) & np.uint64(15)
+    rows += 1
+    return rows
 
 
 def pruned_tally(n, mask, ballot_req, rest=()):

@@ -6,9 +6,10 @@ parse error.  The two length caps are set by flags alone, ``--oracle-max-n``
 and ``--pruned-max-n``, whose defaults are those of ``enumeration.Caps``;
 the library applies them.
 
-``enumerate`` formats and writes its sorted rows in slices of about
-``LISTING_SLICE_BYTES`` each, plain and JSON alike, so that a listing never
-holds its whole text, one string per row or a whole JSON document.  The JSON
+``enumerate`` decodes, formats and writes its sorted listing in slices of
+about ``LISTING_SLICE_BYTES`` each, plain and JSON alike, so that a listing
+never holds its whole text, one string per row, a whole JSON document or
+all of its rows.  The JSON
 is written as its head up to ``"perms": [``, each slice's quoted lines, and
 its tail, byte for byte what ``json.dumps(payload, sort_keys=True)`` gives.
 """
@@ -18,12 +19,12 @@ import argparse
 import json
 import sys
 
-from . import bijections, formulas, verification
+from . import _kernels, bijections, formulas, verification
 from .enumeration import (
     Caps,
     SequenceRecord,
     count_sequence,
-    enumerate_rows,
+    enumerate_listing,
 )
 from .errors import (
     BallotkitError,
@@ -112,21 +113,22 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                               "(default %(default)s)")
 
 
-def _slices(rows):
-    """The rows of ``rows`` in consecutive slices of at least one row, each
-    spelled by ``format_rows`` in at most ``LISTING_SLICE_BYTES`` of cells."""
-    m, n = rows.shape
+def _slices(listing, n):
+    """The rows of a length-n ``listing`` in consecutive slices of at least
+    one row, each decoded in turn and spelled by ``format_rows`` in at most
+    ``LISTING_SLICE_BYTES`` of cells."""
     step = max(1, LISTING_SLICE_BYTES // max(1, n * (len(str(n)) + 1)))
-    return (rows[start:start + step] for start in range(0, m, step))
+    return (_kernels.listing_rows(listing, n, start, start + step)
+            for start in range(0, len(listing), step))
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     pset = _parsed(parse_pattern_set, args.patterns)
     ballot = not args.no_ballot
-    rows = enumerate_rows(args.n, pset, ballot=ballot, method=args.method,
-                          caps=Caps(args.oracle_max_n, args.pruned_max_n))
+    listing = enumerate_listing(args.n, pset, ballot=ballot, method=args.method,
+                                caps=Caps(args.oracle_max_n, args.pruned_max_n))
     if args.format == "plain":
-        for part in _slices(rows):
+        for part in _slices(listing, args.n):
             sys.stdout.write(format_rows(part))
         return EXIT_OK
     # "perms" holds the only list of the document, so its "[]" splits it
@@ -136,13 +138,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         "n": args.n,
         "ballot": ballot,
         "method": args.method,
-        "count": len(rows),
+        "count": len(listing),
         "perms": [],
         "schema": SCHEMA_VERSION,
     }, sort_keys=True).partition("[]")
     sys.stdout.write(head + "[")
     sep = ""
-    for part in _slices(rows):
+    for part in _slices(listing, args.n):
         sys.stdout.write(sep + json.dumps(format_rows(part).split("\n")[:-1])[1:-1])
         sep = ", "
     sys.stdout.write("]" + tail + "\n")

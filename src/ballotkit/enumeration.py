@@ -6,8 +6,9 @@ reference everything else is validated against; ``enumerate_pruned`` grows
 the members one length at a time and never extends a prefix that breaks the
 ballot prefix condition or contains a forbidden pattern.  Both conditions
 are monotone, so the two agree exactly wherever both run.  Both return lists
-of tuples; ``enumerate_rows`` is the one listing function behind them, which
-returns the members as the rows of an integer array, as the CLI prints them.
+of tuples; ``enumerate_listing`` is the one listing function behind them:
+it returns the kernel's packed keys or rows, which the CLI decodes slice by
+slice and ``enumerate_rows`` decodes whole.
 ``count_pruned`` and ``count_sequence`` produce tallies without listing.
 
 Each function checks n and the pattern set once, applies the cap of the
@@ -83,12 +84,12 @@ def _rows_to_perms(rows) -> list[Perm]:
 
 
 def _partition_firsts(n: int, mask: int, ballot: bool, rest: PatternSet):
-    """The pruned listing as an (m, n) array, in one kernel call.  A function
-    of its own because ``perfbench/tracer.py`` times it by this name."""
+    """The pruned listing, in one kernel call.  A function of its own because
+    ``perfbench/tracer.py`` times it by this name."""
     return _kernels.pruned_fill(n, mask, ballot, rest)
 
 
-def enumerate_rows(
+def enumerate_listing(
     n: int,
     patterns: PatternSet = (),
     *,
@@ -96,7 +97,8 @@ def enumerate_rows(
     method: str = "pruned",
     caps: Caps = Caps(),
 ) -> np.ndarray:
-    """Every avoider of length ``n`` as the rows of an (m, n) array, lex order.
+    """Every avoider of length ``n`` in lex order: ``pruned_fill``'s packed
+    keys or rows, or the oracle's rows (``_kernels.listing_rows`` reads both).
 
     ``method`` is "oracle" (exhaustive filtering) or "pruned"; each refuses n
     above its cap in ``caps``, and "pruned" also a length of more than
@@ -109,6 +111,11 @@ def enumerate_rows(
     if method == "oracle":
         return _kernels.oracle_fill(n, mask, ballot, 0, rest)
     return _partition_firsts(n, mask, ballot, rest)
+
+
+def enumerate_rows(n: int, patterns: PatternSet = (), **options) -> np.ndarray:
+    """``enumerate_listing`` (with ``options``) as one (m, n) array of rows."""
+    return _kernels.listing_rows(enumerate_listing(n, patterns, **options), n)
 
 
 def enumerate_oracle(

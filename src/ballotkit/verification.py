@@ -4,7 +4,9 @@ published reference prefixes, packaged as machine-readable reports.
 A report is a plain dict ready for ``json.dumps``: a ``rows`` list with one
 entry per class or named check, each carrying the compared count vectors, a
 pass/fail status, and its wall-clock cost.  A row passes only when every
-pair of available sources agrees exactly over the range both cover.
+pair of available sources agrees exactly over the range both cover; an
+AssertionError or a library error in its check fails it alone, while a cap
+error refuses the whole run.
 """
 from __future__ import annotations
 
@@ -50,7 +52,6 @@ def check_class(
     A failing row also records ``first_mismatch``, the least n at which two
     of its sources differ.
     """
-    started = time.perf_counter()
     pset = canonical_pattern_set(pset)
     name = format_pattern_set(pset)
     pruned = list(count_sequence(pset, n_max, caps=caps).counts)
@@ -86,7 +87,6 @@ def check_class(
         row["status"] = "fail"
         row["first_mismatch"] = min(disagreements.values())
     row["disagreements"] = list(disagreements)
-    row["seconds"] = round(time.perf_counter() - started, 6)
     return row
 
 
@@ -97,30 +97,33 @@ def _require(ok: bool, label: str) -> None:
         raise AssertionError(label)
 
 
-def _named_check(name: str, fn) -> dict:
+def _row(fn, head: dict) -> dict:
+    """The row ``fn()`` makes, timed, or on its failure ``head`` with it."""
     started = time.perf_counter()
     try:
-        detail = fn()
-        status, failure = "pass", None
-    except CapExceededError:  # a refusal of the whole run
+        row = fn()
+    except CapExceededError:
         raise
-    except (AssertionError, BallotkitError) as exc:  # a failure of this row
-        detail, status, failure = None, "fail", str(exc)
-    row = {"check": name, "status": status, "seconds": round(time.perf_counter() - started, 6)}
-    if detail:
-        row["detail"] = detail
-    if failure:
-        row["failure"] = failure
+    except (AssertionError, BallotkitError) as exc:
+        row = {**head, "status": "fail", "failure": str(exc)}
+    row["seconds"] = round(time.perf_counter() - started, 6)
     return row
 
 
+def _named_check(name: str, fn) -> dict:
+    """A named check's row; ``fn`` returns the detail of a pass."""
+    return _row(lambda: {"check": name, "status": "pass", "detail": fn()}, {"check": name})
+
+
 def suite_tables(n_max: int = 7, caps: Caps = Caps()) -> list[dict]:
-    return [check_class(pset, n_max, caps=caps) for pset in ALL_CLASSES]
+    return [_row(lambda: check_class(pset, n_max, caps=caps), {"class": format_pattern_set(pset)})
+            for pset in ALL_CLASSES]
 
 
 def suite_formulas(n_max: int = 12, caps: Caps = Caps()) -> list[dict]:
     rows = [
-        check_class(pset, n_max, with_oracle=False, caps=caps)
+        _row(lambda: check_class(pset, n_max, with_oracle=False, caps=caps),
+             {"class": format_pattern_set(pset)})
         for pset in ALL_CLASSES
         if formulas.get_spec(pset) is not None
         and formulas.get_spec(pset).evaluator is not None

@@ -123,6 +123,29 @@ def test_enumerate_output_holds_no_more_than_a_slice():
     assert peak < kernel_peak + 2**20, f"{peak / 2**20:.2f} MB, kernel {kernel_peak / 2**20:.2f} MB"
 
 
+_LISTING_PEAK = """
+import os, sys
+from ballotkit.cli import main
+sys.stdout = open(os.devnull, "w")
+assert main(["enumerate", "--n", "10", "--no-ballot"]) == 0
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
+          file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
+def test_largest_listing_resident_memory_is_bounded():
+    # the 3,628,800 plain permutations of length 10 are listed as packed
+    # keys (27.7 MB) and decoded a slice at a time; a fresh interpreter reads
+    # its own high-water mark of resident memory (75 MB on 2 cores with
+    # Python 3.11 and numpy 2.4, 151 MB when the kernel sorted rows)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ballotkit.__file__))}
+    err = subprocess.run([sys.executable, "-c", _LISTING_PEAK], env=env, check=True,
+                         capture_output=True, text=True).stderr
+    assert int(err) < 90 * 1024, f"{int(err) / 1024:.1f} MB"  # VmHWM is in kB
+
+
 def test_count_bfile_golden(capsys):
     code, out, _ = run(capsys, "count", "--patterns", "213,312", "--n-max", "7")
     assert code == 0
@@ -497,6 +520,23 @@ def test_verify_reports_a_library_error_as_the_row_s_failure(capsys, monkeypatch
         "dyck-roundtrip", "transport-132,213"}  # both build {132,213} members from words
     assert err == ("verify: FAIL at dyck-roundtrip: no member of {132,213} has descent "
                    "word 'UUDD'\n")
+
+
+def test_verify_reports_a_class_row_s_library_error(capsys, monkeypatch):
+    # a registered rule that raises fails its class's row alone; the report
+    # is still written and the other classes still run
+    def boom(n):
+        raise InvalidInputError("boom")
+
+    monkeypatch.setitem(formulas.REGISTRY, "321",
+                        dataclasses.replace(formulas.REGISTRY["321"], evaluator=boom))
+    code, out, err = run(capsys, "verify", "--suite", "formulas", "--n-max", "5")
+    assert code == 1
+    payload = parse_json_output(out)
+    failed = [row for row in payload["rows"] if row["status"] == "fail"]
+    assert payload["pass"] is False and len(payload["rows"]) > 2
+    assert [(row.get("class"), row["failure"]) for row in failed] == [("321", "boom")]
+    assert err == "verify: FAIL at 321: boom\n"
 
 
 _BROKEN_CHECKS = """

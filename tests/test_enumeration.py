@@ -87,8 +87,8 @@ def test_generic_paths_match_kernels():
         pats = tuple(_forbidden(mask))
         for ballot in (True, False):
             for n in range(1, 8):
-                expected = _kernels.pruned_fill(n, mask, ballot)
-                rows = _kernels.pruned_fill(n, 0, ballot, pats)
+                expected = _rows(n, mask, ballot)
+                rows = _rows(n, 0, ballot, pats)
                 assert rows.dtype == expected.dtype, (mask, ballot, n)
                 assert np.array_equal(rows, expected), (mask, ballot, n)
                 assert len(rows) == count_pruned(n, pats, ballot=ballot), (mask, ballot, n)
@@ -163,6 +163,11 @@ def _forbidden(mask):
     return [q for i, q in enumerate(LENGTH3_PATTERNS) if mask >> i & 1]
 
 
+def _rows(n, mask, ballot, rest=()):
+    """The rows of the pruned listing, decoded from keys where it has them."""
+    return _kernels.listing_rows(_kernels.pruned_fill(n, mask, ballot, rest), n)
+
+
 @pytest.fixture(scope="module")
 def members():
     """naive_members of every length-3 class, ballot and plain, n = 1..7."""
@@ -171,7 +176,7 @@ def members():
 
 def test_pruned_rows_match_naive_all_masks(members):
     for (mask, ballot, n), expected in members.items():
-        rows = _kernels.pruned_fill(n, mask, ballot).tolist()
+        rows = _rows(n, mask, ballot).tolist()
         assert [tuple(r) for r in rows] == expected, (mask, ballot, n)
 
 
@@ -188,7 +193,7 @@ def test_pruned_rows_match_counter_past_the_brute_force_range():
             for n in range(8, 13):
                 if counts[n - 1] > 200_000:
                     continue
-                rows = _kernels.pruned_fill(n, mask, ballot)
+                rows = _rows(n, mask, ballot)
                 assert rows.shape == (counts[n - 1], n), (mask, ballot, n)
                 assert _strictly_lex_increasing(rows), (mask, ballot, n)
 
@@ -196,7 +201,7 @@ def test_pruned_rows_match_counter_past_the_brute_force_range():
 def test_pruned_rows_past_64_sites():
     # sites no longer fit 64 bits, so the blocked sites are Python ints
     pset = parse_pattern_set("123,132")
-    rows = _kernels.pruned_fill(100, _kernels.split(pset)[0], True)
+    rows = _rows(100, _kernels.split(pset)[0], True)
     assert rows.shape == (1, 100) and rows.dtype == np.uint8
     member = tuple(rows[0].tolist())
     assert sorted(member) == list(range(1, 101))
@@ -207,7 +212,7 @@ def test_pruned_rows_past_64_sites():
         pset = parse_pattern_set(name)
         mask = _kernels.split(pset)[0]
         for n in range(60, 71):
-            rows = _kernels.pruned_fill(n, mask, True).tolist()
+            rows = _rows(n, mask, True).tolist()
             assert [tuple(r) for r in rows] == unique_members(pset, n), (name, n)
 
 
@@ -219,9 +224,9 @@ def test_pruned_rows_bound(monkeypatch):
 
 
 def test_walk_memory_is_a_small_multiple_of_its_output():
-    # a length is built one site at a time, so beside its rows the walk
-    # holds each child's parent and the length before, and no (rows,
-    # sites) temporaries
+    # a length is built one site at a time, so beside its output (the last
+    # length's keys) the walk holds the length before, its open-site table
+    # and one site's children, and no (rows, sites) temporaries
     for ballot in (True, False):
         tracemalloc.start()
         try:
@@ -290,8 +295,8 @@ def test_check_rows_stops_at_the_first_length_past_the_bound(monkeypatch):
     # there, and never steps a prefix of length 11 or more
     seen = []
     blocked_by = _kernels._blocked_by
-    monkeypatch.setattr(_kernels, "_blocked_by", lambda mask, k: seen.append(k) or
-                        blocked_by(mask, k))
+    monkeypatch.setattr(_kernels, "_blocked_by", lambda mask, k, s: seen.append(k) or
+                        blocked_by(mask, k, s))
     with pytest.raises(CapExceededError, match=r"^ballot \{\} at n=40 needs 9,823,275 rows "
                                                r"at length 11, more than 4,000,000; lower n$"):
         _kernels.check_rows(40, 0, True)
@@ -401,7 +406,7 @@ def test_kernels_answer_length_0():
         for ballot in (True, False):
             for rest in ((), ((1, 2),)):
                 for rows in (_kernels.oracle_fill(0, mask, ballot, 0, rest),
-                             _kernels.pruned_fill(0, mask, ballot, rest)):
+                             _rows(0, mask, ballot, rest)):
                     assert rows.shape == (1, 0), (mask, ballot, rest)
     census = _kernels.oracle_census(0)
     assert census[_kernels._BALLOT_BIT] == census.sum() == 1
@@ -532,6 +537,54 @@ def test_every_class_counts_to_16_under_state_bound():
 def test_pruned_listing_matches_oracle_at_n10():
     pset = parse_pattern_set("132")
     assert enumerate_pruned(10, pset) == enumerate_oracle(10, pset)
+
+
+def test_keyed_listing_matches_oracle_all_masks():
+    # every length-3 listing to n = 10 is packed keys: decoded whole or from
+    # any range, they are the oracle's rows
+    for mask in range(64):
+        for ballot in (True, False):
+            for n in range(1, 11):
+                listing = _kernels.pruned_fill(n, mask, ballot)
+                expected = _kernels.oracle_fill(n, mask, ballot, 0)
+                assert listing.shape == (len(expected),) and listing.dtype == np.uint64
+                rows = _kernels.listing_rows(listing, n)
+                assert rows.dtype == expected.dtype, (mask, ballot, n)
+                assert np.array_equal(rows, expected), (mask, ballot, n)
+                third = len(expected) // 3
+                assert np.array_equal(_kernels.listing_rows(listing, n, third, 2 * third + 1),
+                                      expected[third:2 * third + 1]), (mask, ballot, n)
+
+
+def test_keyed_listing_ends_at_n16():
+    # n = 16 fills all 64 bits of a key; n = 17 and sets with a pattern in
+    # rest take the row path, which lists the same members
+    for text in ("123,132", "132,213", "231,312,321"):
+        pset = parse_pattern_set(text)
+        mask = _kernels.split(pset)[0]
+        as_rest = tuple(_forbidden(mask))
+        for n, keyed in ((16, True), (17, False)):
+            listing = _kernels.pruned_fill(n, mask, True)
+            walked = _kernels.pruned_fill(n, 0, True, as_rest)
+            assert (listing.ndim == 1) is keyed and walked.ndim == 2, (text, n)
+            assert np.array_equal(_kernels.listing_rows(listing, n), walked), (text, n)
+            assert len(listing) == _kernels.pruned_count(n, mask, True)[-1], (text, n)
+    top = _rows(16, _kernels.split(parse_pattern_set("123,132"))[0], True)
+    assert top.tolist() == [[15, 16, 13, 14, 11, 12, 9, 10, 7, 8, 5, 6, 3, 4, 1, 2]]
+
+
+def test_row_path_prints_what_the_keyed_path_prints(monkeypatch, capsys):
+    # with keys cut to n <= 8, the same listings take the row path and the
+    # command's output does not change
+    argvs = [["enumerate", "--n", "9"], ["enumerate", "--patterns", "132", "--n", "11",
+                                         "--format", "json"]]
+    outputs = []
+    for key_max_n in (_kernels.KEY_MAX_N, 8):
+        monkeypatch.setattr(_kernels, "KEY_MAX_N", key_max_n)
+        for argv in argvs:
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:] and outputs[0].out.count("\n") == 99_225
 
 
 def test_oracle_cap():
