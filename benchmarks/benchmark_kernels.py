@@ -66,8 +66,12 @@ CASES = [
     ("pruned_count {321} n=40", lambda: pruned_count(40, _mask("321"), True)[-1]),
     ("pruned_count {231,312,321} n=40",
      lambda: pruned_count(40, _mask("231,312,321"), True)[-1]),
-    ("pruned_count {132} n=20", lambda: pruned_count(20, _mask("132"), True)[-1]),
     ("pruned_count {123,132} n=100", lambda: pruned_count(100, _mask("123,132"), True)[-1]),
+    # the classes that keep the most states: at most 458, 977 and 1,324 a
+    # length to n = 100
+    ("pruned_count {132} n=100", lambda: pruned_count(100, _mask("132"), True)[-1]),
+    ("pruned_count {312} n=100", lambda: pruned_count(100, _mask("312"), True)[-1]),
+    ("pruned_count {} n=100", lambda: pruned_count(100, 0, True)[-1]),
     # the classes the benchmark's enumerate workload lists, as packed keys;
     # "rows" decodes every row at once, as enumerate_rows returns them
     ("pruned_fill {} n=9", lambda: len(pruned_fill(9, 0, True))),

@@ -7,16 +7,19 @@ method counts through one entry point, ``pruned_tally`` or ``oracle_tally``,
 and lists through one, ``pruned_fill`` or ``oracle_fill``.
 
 - ``pruned_count``: a transfer-state counter (a generating tree in the sense
-  of West 1995) that carries a ``{state: multiplicity}`` table one length at
-  a time (``_counts``), at most ``MAX_STATES`` states a length.
+  of West 1995) that carries one ``{state: multiplicity}`` table one length
+  at a time (``_counts``).  A state keeps only the blocked sites at the
+  bottom and the top, so there are polynomially many: at most 1,324 a length
+  to n = 100, against the bound of ``MAX_STATES``.
 - ``pruned_levels``: the same tree walked over the members themselves, at
   most ``MAX_ROWS`` children a length.  ``_blocked_by`` states the transfer
-  step once for both, and each builds it only for the sites some prefix
-  leaves open.  ``pruned_fill`` refuses an oversized listing before any row
-  is built (``check_rows``) and keeps the walk's last length: for length-3
-  patterns alone and n <= ``KEY_MAX_N`` = 16 as packed uint64 keys, 4 bits
-  an entry with the first entry highest, sorted in place and decoded a range
-  at a time by ``listing_rows``; otherwise as rows, sorted by one lexsort.
+  step once for both; the walk keeps every blocked site of a member, since
+  it builds the rows themselves.  ``pruned_fill`` refuses an oversized
+  listing before any row is built (``check_rows``) and keeps the walk's last
+  length: for length-3 patterns alone and n <= ``KEY_MAX_N`` = 16 as packed
+  uint64 keys, 4 bits an entry with the first entry highest, sorted in place
+  and decoded a range at a time by ``listing_rows``; otherwise as rows,
+  sorted by one lexsort.
 - ``oracle_fill``: classify every permutation of 1..n, block by block
   (``_blocks``, ``_classify``), and keep the members in lex order.  Free of
   pruning and of the pruned kernels' logic, it is the independent reference
@@ -102,57 +105,61 @@ def _counts(n, mask, ballot_req):
     is finished: the counter's one pass over transfer states, in Python ints
     (counts outgrow int64).
 
-    A state holds what decides a prefix's future: the value sites an earlier
-    pair already blocks, the rank of its last entry and its height (ascents
-    minus descents).  The table maps (rank of the last entry, height) to
-    {blocked sites: multiplicity}.  Without the ballot flag the last rank and
-    the height do not matter and are dropped; with it, a height above the
-    steps still to come is cut down to that number, since such a prefix can
-    no longer fall below zero.
+    A state holds what decides a prefix's future: its top site, which of
+    sites 0 and top are blocked, the rank of its last entry and its height
+    (ascents minus descents), mapped to its multiplicity in one table.  A
+    blocked site strictly between 0 and top is deleted after each step, and
+    that is exact.  Every range that ``_blocked_by`` blocks is fixed by order
+    alone: the sites between two of the bottom site, the top site and the two
+    halves of the new entry's site, each end taken or not.  Whether earlier
+    entries lie below or above the new one is whether its site is above the
+    bottom or below the top.  A blocked site never opens again, and deleting
+    it keeps the order of the others, so it changes no later step, provided
+    the last rank counts only the kept sites below the last entry.  Without
+    the ballot flag the last rank and the height do not matter and are
+    dropped; with it, a height above the steps still to come is cut down to
+    that number, since such a prefix can no longer fall below zero.
     """
     if n < 1:
         return
+
+    @functools.cache
+    def steps(top, blocked):
+        """(s, (top, blocked, last rank)) for each open site s of a state:
+        the child's state once its interior blocked sites are deleted."""
+        out = []
+        for s in range(top + 1):
+            if not blocked >> s & 1:
+                low, add = _blocked_by(mask, top, s)
+                b = (blocked & low) | (blocked >> s << (s + 1)) | add
+                inner = b & ((2 << top) - 2)  # sites 1..top of the new 0..top + 1
+                kept = top + 1 - inner.bit_count()
+                rank = s + 1 - (inner & low).bit_count() if ballot_req else 0
+                out.append((s, (kept, b & 1 | b >> (top + 1) << kept, rank)))
+        return out
+
     yield 1
-    table = {(1, 0): {0: 1}}
+    table = {(1, 0, 1, 0): 1}
     for k in range(1, n):
-        # the sites that every state of a group blocks, and of the whole table
-        commons = {key: functools.reduce(int.__and__, group) for key, group in table.items()}
-        every = functools.reduce(int.__and__, commons.values(), -1)  # all if none
-        moves = [(s, *_blocked_by(mask, k, s)) for s in range(k + 1) if not every >> s & 1]
         room = n - k - 1
         nxt = {}
-        size = 0
-        for (last, height), group in table.items():
-            common = commons[last, height]
-            targets = []
-            for s, low, add in moves:
-                if common >> s & 1:
-                    continue
-                key = (0, 0)
+        for (top, blocked, last, height), c in table.items():
+            for s, state in steps(top, blocked):
+                h = 0
                 if ballot_req:
                     h = height + 1 if s >= last else height - 1
                     if h < 0:
                         continue
-                    key = (s + 1, min(h, room))
-                targets.append((low, s, add, nxt.setdefault(key, {})))
-            for blocked, c in group.items():
-                for low, s, add, sub in targets:
-                    if blocked >> s & 1:
-                        continue
-                    b = (blocked & low) | (blocked >> s << (s + 1)) | add
-                    old = sub.get(b)
-                    if old is None:
-                        size += 1
-                        sub[b] = c
-                    else:
-                        sub[b] = old + c
-                if size > MAX_STATES:
-                    raise CapExceededError(
-                        f"counting {_class_label(mask, ballot_req)} to n={n} needs more than "
-                        f"{MAX_STATES:,} states at n={k + 1}; lower n"
-                    )
-        yield sum(sum(sub.values()) for sub in nxt.values())
-        table = nxt  # no key is empty: each target's site is open in some state
+                    if h > room:
+                        h = room
+                key = (*state, h)
+                nxt[key] = nxt.get(key, 0) + c
+            if len(nxt) > MAX_STATES:
+                raise CapExceededError(
+                    f"counting {_class_label(mask, ballot_req)} to n={n} needs more than "
+                    f"{MAX_STATES:,} states at n={k + 1}; lower n")
+        yield sum(nxt.values())
+        table = nxt
 
 
 def pruned_count(n, mask, ballot_req):
@@ -267,7 +274,7 @@ def check_rows(n, mask, ballot_req, rest=()):
     """Refuse a listing to n as ``pruned_levels`` would, before any row is
     built: for length-3 patterns alone, read ``_counts`` up to the first
     length past ``MAX_ROWS``.  A pass that reaches ``MAX_STATES`` first
-    refuses with the counter's error (no class does below n = 150); with a
+    refuses with the counter's error (no class does below n = 1,000); with a
     pattern in ``rest`` the walk's own bound decides."""
     if rest:  # the walk builds children that the completion test drops
         return

@@ -145,7 +145,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     sys.stdout.write(head + "[")
     sep = ""
     for part in _slices(listing, args.n):
-        sys.stdout.write(sep + json.dumps(format_rows(part).split("\n")[:-1])[1:-1])
+        # each line is digits and commas, so quoting it is all JSON asks
+        text = format_rows(part)
+        sys.stdout.write(sep + '"' + text[:-1].replace("\n", '", "') + '"')
         sep = ", "
     sys.stdout.write("]" + tail + "\n")
     return EXIT_OK

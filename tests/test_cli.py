@@ -350,7 +350,10 @@ def test_verify_n_max_0_is_usage_error(capsys):
         verification.run_suite("tables", 0)
 
 
-def test_count_past_state_bound_exits_2(capsys):
+def test_count_past_state_bound_exits_2(monkeypatch, capsys):
+    # the counter keeps few states (ballot {132} at most 458 to n = 100), so
+    # a lowered bound stands in for a class that would need more
+    monkeypatch.setattr(_kernels, "MAX_STATES", 10)
     code, out, err = run_exit(capsys, "count", "--patterns", "132", "--n-max", "21",
                               "--pruned-max-n", "21")
     assert (code, out) == (2, "")

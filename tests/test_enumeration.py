@@ -304,8 +304,8 @@ def test_check_rows_stops_at_the_first_length_past_the_bound(monkeypatch):
 
 
 def test_enumerate_refuses_below_the_state_bound(monkeypatch, capsys):
-    # ballot {132} passes the state bound at length 21, but its counts pass
-    # the row bound at length 17 first, so no row is built
+    # the counts of ballot {132} pass the row bound at length 17, so no row
+    # is built
     def walk(*args):
         raise AssertionError("the walk ran")
 
@@ -322,11 +322,11 @@ def test_row_refusal_past_the_state_bound_is_the_counter_s(monkeypatch):
     def walk(*args):
         raise AssertionError("the walk ran")
 
-    monkeypatch.setattr(_kernels, "MAX_STATES", 10)
+    monkeypatch.setattr(_kernels, "MAX_STATES", 5)
     monkeypatch.setattr(_kernels, "pruned_levels", walk)
     pset = parse_pattern_set("132")
     with pytest.raises(CapExceededError, match=r"^counting ballot \{132\} to n=8 needs more "
-                                               r"than 10 states at n=6; lower n$"):
+                                               r"than 5 states at n=7; lower n$"):
         enumerate_pruned(8, pset)
     assert len(enumerate_oracle(8, pset)) == 196
 

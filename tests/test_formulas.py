@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from ballotkit import _kernels
 from ballotkit.enumeration import Caps, count_sequence, enumerate_oracle
 from ballotkit.errors import CapExceededError, InvalidInputError, UnsupportedClassError
 from ballotkit.formulas import (
@@ -176,15 +177,31 @@ def test_validity_bounds():
         formula_sequence(parse_pattern_set("321"), 0)
 
 
-def test_rules_match_counter_far_out():
-    # {132} needs the most transfer states; n = 20 is the largest length it
-    # reaches under the counter's state bound
+def test_rules_match_counter_far_out(monkeypatch):
+    # the counter keeps at most 1,324 states a length to n = 100, so every
+    # registered rule, {132}'s included, is checked to n = 60
     for pset in ALL_CLASSES:
         spec = get_spec(pset)
         if spec.evaluator is None:
             continue
-        top = 20 if spec.class_name == "132" else 40
-        counts = count_sequence(pset, top, caps=Caps(pruned=top)).counts
-        assert counts == tuple(spec.evaluator(n) for n in range(1, top + 1)), spec.class_name
+        counts = count_sequence(pset, 60, caps=Caps(pruned=60)).counts
+        assert counts == tuple(spec.evaluator(n) for n in range(1, 61)), spec.class_name
+    # a class that needs more states than the bound is refused
+    monkeypatch.setattr(_kernels, "MAX_STATES", 10)
     with pytest.raises(CapExceededError):
         count_sequence(parse_pattern_set("132"), 21, caps=Caps(pruned=21))
+
+
+def test_counter_far_out_against_independent_counts():
+    # plain {132} is counted by the Catalan numbers
+    counts = count_sequence(parse_pattern_set("132"), 60, ballot=False,
+                            caps=Caps(pruned=60)).counts
+    assert counts == tuple(catalan(n) for n in range(1, 61))
+    # ballot {} by the permutations of odd order
+    counts = count_sequence((), 60, caps=Caps(pruned=60)).counts
+    assert counts == tuple(UNRESTRICTED.evaluator(n) for n in range(1, 61))
+    # ballot {213} and {312} are Wilf-equivalent, with no rule registered
+    pair = [count_sequence(parse_pattern_set(p), 100, caps=Caps(pruned=100)).counts
+            for p in ("213", "312")]
+    prefix = reference_prefix(parse_pattern_set("213")).counts
+    assert pair[0] == pair[1] and pair[0][:len(prefix)] == prefix
