@@ -16,79 +16,106 @@ The package is organized as:
   sequence prefixes;
 - :mod:`ballotkit.bijections` — descent-word reconstructions, insertion
   maps, and recursive generators;
+- :mod:`ballotkit.verification` — the cross-check suites and their reports;
+- :mod:`ballotkit.reports` — the schema marker and suite names they share;
 - :mod:`ballotkit.cli` — the ``ballotkit`` command.
+
+Importing the package loads none of them.  Each name below, and each module
+that holds one, is imported on first access (a module ``__getattr__``, PEP
+562), so a command compiles and runs only the modules it uses.
 """
-from ._kernels import backend_name
-from .bijections import (
-    DESCENT_WORD_FAMILIES,
-    UNIQUE_MEMBER_CLASSES,
-    WilfFamily,
-    behead_231_321,
-    excluded_element_213_321,
-    from_dyck_prefix,
-    generate_312_321,
-    generate_fib,
-    insert_132_321,
-    perm_from_word,
-    prepend_231_321,
-    remove_132_321,
-    to_dyck_prefix,
-    unique_members,
-    wilf_transport,
-)
-from .enumeration import (
-    SequenceRecord,
-    count_pruned,
-    count_sequence,
-    enumerate_oracle,
-    enumerate_pruned,
-    enumerate_rows,
-)
-from .errors import (
-    BallotkitError,
-    CapExceededError,
-    InvalidInputError,
-    UnrealizableWordError,
-    UnsupportedClassError,
-)
-from .formulas import (
-    FormulaSpec,
-    catalan,
-    formula_count,
-    formula_sequence,
-    get_spec,
-    recurrence_step,
-    reference_prefix,
-    shifted_rule,
-)
-from .patterns import (
-    ALL_CLASSES,
-    LENGTH3_PATTERNS,
-    PAIR_CLASSES,
-    SINGLE_CLASSES,
-    TRIPLE_CLASSES,
-    avoids_all,
-    canonical_pattern_set,
-    contains,
-    find_occurrence,
-    format_pattern_set,
-    parse_pattern_set,
-)
-from .perms import (
-    Perm,
-    ascent_set,
-    descent_set,
-    descent_word,
-    direct_sum,
-    format_perm,
-    format_rows,
-    identity,
-    is_ballot,
-    is_ballot_word,
-    parse_perm,
-    reverse,
-    skew_sum,
-    standardize,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: The package's names, by the module that defines them.
+_EXPORTS = {
+    "_kernels": ("backend_name",),
+    "bijections": (
+        "DESCENT_WORD_FAMILIES",
+        "UNIQUE_MEMBER_CLASSES",
+        "WilfFamily",
+        "behead_231_321",
+        "excluded_element_213_321",
+        "from_dyck_prefix",
+        "generate_312_321",
+        "generate_fib",
+        "insert_132_321",
+        "perm_from_word",
+        "prepend_231_321",
+        "remove_132_321",
+        "to_dyck_prefix",
+        "unique_members",
+        "wilf_transport",
+    ),
+    "enumeration": (
+        "SequenceRecord",
+        "count_pruned",
+        "count_sequence",
+        "enumerate_oracle",
+        "enumerate_pruned",
+        "enumerate_rows",
+    ),
+    "errors": (
+        "BallotkitError",
+        "CapExceededError",
+        "InvalidInputError",
+        "UnrealizableWordError",
+        "UnsupportedClassError",
+    ),
+    "formulas": (
+        "FormulaSpec",
+        "catalan",
+        "formula_count",
+        "formula_sequence",
+        "get_spec",
+        "recurrence_step",
+        "reference_prefix",
+        "shifted_rule",
+    ),
+    "patterns": (
+        "ALL_CLASSES",
+        "LENGTH3_PATTERNS",
+        "PAIR_CLASSES",
+        "SINGLE_CLASSES",
+        "TRIPLE_CLASSES",
+        "avoids_all",
+        "canonical_pattern_set",
+        "contains",
+        "find_occurrence",
+        "format_pattern_set",
+        "parse_pattern_set",
+    ),
+    "perms": (
+        "Perm",
+        "ascent_set",
+        "descent_set",
+        "descent_word",
+        "direct_sum",
+        "format_perm",
+        "format_rows",
+        "identity",
+        "is_ballot",
+        "is_ballot_word",
+        "parse_perm",
+        "reverse",
+        "skew_sum",
+        "standardize",
+    ),
+}
+_HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # binds the module here too
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES})

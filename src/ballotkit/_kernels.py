@@ -44,6 +44,8 @@ from .patterns import LENGTH3_PATTERNS, format_pattern_set
 MAX_STATES = 100_000
 #: Most children ``pruned_fill`` builds at one length.
 MAX_ROWS = 4_000_000
+#: Longest length whose members ``pruned_fill`` lists as packed keys.
+KEY_MAX_N = 16
 
 
 def split(pset):
@@ -264,10 +266,6 @@ def pruned_levels(n, mask, ballot_req, rest=()):
         b, sb = blocked[parent], s.astype(bits)
         blocked = (b & low[s]) | (b >> sb << (sb + 1)) | add[s]
         del s, parent, b, sb  # not to be held beside the next length
-
-
-#: Longest length whose members ``pruned_fill`` lists as packed keys.
-KEY_MAX_N = 16
 
 
 def check_rows(n, mask, ballot_req, rest=()):

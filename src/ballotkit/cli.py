@@ -6,6 +6,11 @@ parse error.  The two length caps are set by flags alone, ``--oracle-max-n``
 and ``--pruned-max-n``, whose defaults are those of ``enumeration.Caps``;
 the library applies them.
 
+Each command imports only the modules it runs: ``formulas``,
+``verification`` and ``bijections`` are imported inside the handlers and
+branches that use them, so ``enumerate`` and ``count`` by the counter or the
+oracle compile none of them.
+
 ``enumerate`` decodes, formats and writes its sorted listing in slices of
 about ``LISTING_SLICE_BYTES`` each, plain and JSON alike, so that a listing
 never holds its whole text, one string per row, a whole JSON document or
@@ -19,7 +24,7 @@ import argparse
 import json
 import sys
 
-from . import _kernels, bijections, formulas, verification
+from . import _kernels
 from .enumeration import (
     Caps,
     SequenceRecord,
@@ -33,8 +38,7 @@ from .errors import (
 )
 from .patterns import format_pattern_set, parse_pattern_set
 from .perms import check_step_word, format_perm, format_rows, parse_perm
-
-SCHEMA_VERSION = verification.SCHEMA_VERSION
+from .reports import SCHEMA_VERSION, SUITES
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -162,11 +166,15 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise _UsageError(f"--method {args.method} uses the rules and tables of ballot "
                           "avoiders; it cannot be combined with --no-ballot")
     if args.method == "formula":
+        from . import formulas
+
         _check_formula_n(args.n_max)
         record = formulas.formula_sequence(pset, args.n_max)
         if record is None:
             raise _UsageError(f"no formula registered for {{{name}}}")
     elif args.method == "both":
+        from . import formulas, verification
+
         if formulas.get_spec(pset) is None:
             raise _UsageError(f"--method both has nothing to compare: {{{name}}} has no "
                               "registered rule and no published prefix")
@@ -200,6 +208,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    from . import formulas
+
     _check_formula_n(args.n)
     pset = _parsed(parse_pattern_set, args.patterns)
     spec = formulas.get_spec(pset)
@@ -220,14 +230,6 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-#: Each ``biject`` map of one input: its forward and its inverse function.
-_BIJECT_MAPS = {
-    "dyck": (bijections.to_dyck_prefix, bijections.from_dyck_prefix),
-    "insert-132-321": (bijections.insert_132_321, bijections.remove_132_321),
-    "prepend-231-321": (bijections.prepend_231_321, bijections.behead_231_321),
-}
-
-
 def _cmd_biject(args: argparse.Namespace) -> int:
     if args.map == "transport":
         takes = ("--perm", "--from", "--to")
@@ -244,6 +246,14 @@ def _cmd_biject(args: argparse.Namespace) -> int:
     missing = [flag for flag in takes if given[flag] is None and flag != "--inverse"]
     if missing:
         raise _UsageError(f"{usage} needs {', '.join(missing)}")
+    from . import bijections
+
+    # each map of one input: its forward and its inverse function
+    maps = {
+        "dyck": (bijections.to_dyck_prefix, bijections.from_dyck_prefix),
+        "insert-132-321": (bijections.insert_132_321, bijections.remove_132_321),
+        "prepend-231-321": (bijections.prepend_231_321, bijections.behead_231_321),
+    }
     if args.map == "transport":
         image = bijections.wilf_transport(
             _biject_input("--perm", parse_perm, args.perm),
@@ -251,15 +261,17 @@ def _cmd_biject(args: argparse.Namespace) -> int:
             _parsed(parse_pattern_set, args.target),
         )
     elif args.word is not None:
-        image = _BIJECT_MAPS[args.map][1](_biject_input("--word", check_step_word, args.word))
+        image = maps[args.map][1](_biject_input("--word", check_step_word, args.word))
     else:
         p = _biject_input("--perm", parse_perm, args.perm)
-        image = _BIJECT_MAPS[args.map][args.inverse](p)
+        image = maps[args.map][args.inverse](p)
     sys.stdout.write((image if isinstance(image, str) else format_perm(image)) + "\n")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verification
+
     report = verification.run_suite(args.suite, args.n_max,
                                      Caps(args.oracle_max_n, args.pruned_max_n))
     _emit_json(report)
@@ -316,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_biject)
 
     p = sub.add_parser("verify", help="run the cross-check suites")
-    p.add_argument("--suite", choices=(*verification._SUITES, "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--n-max", type=_int_from(1), default=7)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_verify)

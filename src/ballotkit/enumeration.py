@@ -26,13 +26,15 @@ environment; the CLI builds the ``Caps`` from its flags.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .errors import CapExceededError, InvalidInputError
 from .patterns import PatternSet, canonical_pattern_set, format_pattern_set
 from .perms import Perm
+
+if TYPE_CHECKING:  # annotations only; _kernels imports numpy at run time
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from . import bijections, formulas
+from . import formulas
 from .enumeration import Caps, count_sequence, enumerate_oracle, enumerate_pruned
 from .errors import BallotkitError, CapExceededError, InvalidInputError
 from .patterns import (
@@ -23,8 +23,7 @@ from .patterns import (
     parse_pattern_set,
 )
 from .perms import descent_word
-
-SCHEMA_VERSION = 1
+from .reports import SCHEMA_VERSION, SUITES
 
 
 def _disagreements(row: dict) -> dict[str, int]:
@@ -148,6 +147,8 @@ def suite_formulas(n_max: int = 12, caps: Caps = Caps()) -> list[dict]:
 
 
 def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
+    from . import bijections
+
     rows = []
     oracle_top = min(n_max, caps.oracle)
 
@@ -247,11 +248,8 @@ def suite_bijections(n_max: int = 8, caps: Caps = Caps()) -> list[dict]:
     return rows
 
 
-_SUITES = {
-    "tables": suite_tables,
-    "formulas": suite_formulas,
-    "bijections": suite_bijections,
-}
+#: Each suite's function, ``suite_<name>``.
+_SUITES = {name: globals()[f"suite_{name}"] for name in SUITES}
 
 
 def run_suite(suite: str, n_max: int, caps: Caps = Caps()) -> dict:

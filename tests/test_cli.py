@@ -606,3 +606,75 @@ def test_usage_error_unknown_suite():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])
     assert err.value.code == 2
+
+
+_MODULES_LOADED = """
+import contextlib, io, sys
+from ballotkit import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("ballotkit")))
+"""
+#: The modules every command loads: the package, the CLI, the policy layer
+#: and what it stands on.
+_COMMON_MODULES = {"ballotkit", "ballotkit.cli", "ballotkit.reports", "ballotkit.enumeration",
+                   "ballotkit._kernels", "ballotkit.errors", "ballotkit.patterns",
+                   "ballotkit.perms"}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["enumerate", "--patterns", "132", "--n", "5"], ()),
+    (["count", "--patterns", "321", "--n-max", "6"], ()),
+    (["count", "--patterns", "321", "--n-max", "6", "--method", "oracle"], ()),
+    (["count", "--patterns", "321", "--n-max", "6", "--method", "both"],
+     ("formulas", "verification")),
+    (["formula", "--patterns", "321", "--n", "6"], ("formulas",)),
+    (["biject", "--map", "dyck", "--perm", "1,2"], ("bijections",)),
+    (["verify", "--suite", "tables", "--n-max", "3"], ("formulas", "verification")),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_each_command_loads_only_the_modules_it_runs(argv, extra):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ballotkit.__file__))}
+    out = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    code, *modules = out.split()
+    assert code == "0"
+    assert set(modules) == _COMMON_MODULES | {f"ballotkit.{name}" for name in extra}
+
+
+#: Every name the package exported when its ``__init__`` imported them all.
+_PACKAGE_NAMES = """
+backend_name
+DESCENT_WORD_FAMILIES UNIQUE_MEMBER_CLASSES WilfFamily behead_231_321
+excluded_element_213_321 from_dyck_prefix generate_312_321 generate_fib insert_132_321
+perm_from_word prepend_231_321 remove_132_321 to_dyck_prefix unique_members wilf_transport
+SequenceRecord count_pruned count_sequence enumerate_oracle enumerate_pruned enumerate_rows
+BallotkitError CapExceededError InvalidInputError UnrealizableWordError UnsupportedClassError
+FormulaSpec catalan formula_count formula_sequence get_spec recurrence_step reference_prefix
+shifted_rule
+ALL_CLASSES LENGTH3_PATTERNS PAIR_CLASSES SINGLE_CLASSES TRIPLE_CLASSES avoids_all
+canonical_pattern_set contains find_occurrence format_pattern_set parse_pattern_set
+Perm ascent_set descent_set descent_word direct_sum format_perm format_rows identity is_ballot
+is_ballot_word parse_perm reverse skew_sum standardize
+__version__
+""".split()
+
+
+def test_package_names_resolve_on_first_access():
+    for name in _PACKAGE_NAMES:
+        assert getattr(ballotkit, name) is getattr(ballotkit, name)
+    assert set(_PACKAGE_NAMES) <= set(dir(ballotkit))
+    assert ballotkit.formula_count(((3, 2, 1),), 4) == 9
+    with pytest.raises(AttributeError, match="has no attribute 'nonsense'"):
+        ballotkit.nonsense
+
+
+def test_importing_the_package_loads_no_module():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ballotkit.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ballotkit\n"
+         "print(*sorted(m for m in sys.modules if m.startswith('ballotkit')))\n"
+         "print(ballotkit.bijections.__name__)\n"
+         "from ballotkit import *\n"
+         "print(get_spec is ballotkit.formulas.get_spec)"],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.splitlines() == ["ballotkit", "ballotkit.bijections", "True"]
