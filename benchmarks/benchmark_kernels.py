@@ -82,6 +82,9 @@ CASES = [
     # the largest listing the row bound accepts: its keys set the peak
     ("pruned_fill {} plain n=10", lambda: len(pruned_fill(10, 0, False))),
     ("pruned_fill {} plain n=10 rows", lambda: len(listing_rows(pruned_fill(10, 0, False), 10))),
+    # the ballot listing whose walk state is largest beside its keys: 894,660
+    # members of length 14, each with its blocked sites and height
+    ("pruned_fill {312} n=15", lambda: len(pruned_fill(15, _mask("312"), True))),
     # the single member of length 100 and 300, whose blocked sites outgrow
     # 64 bits: one row, whose few open sites are tested and stepped one at a
     # time; past n = 16 the row path
@@ -160,7 +163,7 @@ def main() -> None:
     for label, call in CASES:
         seconds, result = _time(call, args.repeat)
         peak = _peak(call) / 2**20
-        print(f"{label:<36} {seconds:>9.3f}s {peak:>7.1f} MB  {result}")
+        print(f"{label:<36} {seconds:>9.4f}s {peak:>7.1f} MB  {result}")
 
 
 if __name__ == "__main__":

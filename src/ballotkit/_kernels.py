@@ -14,12 +14,15 @@ and lists through one, ``pruned_fill`` or ``oracle_fill``.
 - ``pruned_levels``: the same tree walked over the members themselves, at
   most ``MAX_ROWS`` children a length.  ``_blocked_by`` states the transfer
   step once for both; the walk keeps every blocked site of a member, since
-  it builds the rows themselves.  ``pruned_fill`` refuses an oversized
-  listing before any row is built (``check_rows``) and keeps the walk's last
-  length: for length-3 patterns alone and n <= ``KEY_MAX_N`` = 16 as packed
-  uint64 keys, 4 bits an entry with the first entry highest, sorted in place
-  and decoded a range at a time by ``listing_rows``; otherwise as rows,
-  sorted by one lexsort.
+  it builds the rows themselves, in one 32- or 64-bit word (Python ints
+  past 63 sites), and its height in the narrowest signed type for n.
+  ``pruned_fill`` refuses an oversized listing before any row is built
+  (``check_rows``) and keeps the walk's last length: for length-3 patterns
+  alone and n <= ``KEY_MAX_N`` = 16 as packed keys of the first n - 1
+  entries, 4 bits an entry with the first entry highest, in uint32 up to
+  n = 9 and uint64 above (the last entry is the one value the others
+  lack), sorted in place and decoded a range at a time by ``listing_rows``;
+  otherwise as rows, sorted by one lexsort.
 - ``oracle_fill``: classify every permutation of 1..n, block by block
   (``_blocks``, ``_classify``), and keep the members in lex order.  Free of
   pruning and of the pruned kernels' logic, it is the independent reference
@@ -40,12 +43,16 @@ import numpy as np
 from .errors import CapExceededError
 from .patterns import LENGTH3_PATTERNS, format_pattern_set
 
-#: Most states ``pruned_count`` keeps for one length (under 20 MB of tables).
+#: Most states ``pruned_count`` keeps for one length; ballot {321} counted to
+#: n = 800 passes it at length 367.
 MAX_STATES = 100_000
 #: Most children ``pruned_fill`` builds at one length.
 MAX_ROWS = 4_000_000
 #: Longest length whose members ``pruned_fill`` lists as packed keys.
 KEY_MAX_N = 16
+#: Most keys ``listing_rows`` decodes at once, so that its temporaries stay
+#: small beside a whole listing.
+_DECODE_KEYS = 1 << 16
 
 
 def split(pset):
@@ -192,33 +199,46 @@ def pruned_levels(n, mask, ballot_req, rest=()):
     """Members of the class at each length k = 1..n, one unsorted (m, k)
     array per length, from one walk.  For length-3 patterns alone and
     n <= ``KEY_MAX_N`` the last length comes as the 1-D array of its
-    members' packed keys instead: entry j less one in bits 4 (n - 1 - j) and
-    up, the first entry highest, so that key order is lex order.
+    members' packed keys instead (``_key_type``): entry j less one in bits
+    4 (n - 2 - j) and up for j < n - 1, the first entry highest, so that key
+    order is lex order; the last entry is the one value the others lack.
 
     The class avoids the length-3 patterns of ``mask`` and the patterns of
     other lengths in ``rest``.  The frontier is every member of length k,
     each with its blocked sites and height (its last rank is its row's last
-    entry).  A length is built one open site s at a time: each member open
-    at s writes a child into its next rows, the entries above s moved up by
-    one and s + 1 appended.  A child whose new entry completes an occurrence
-    of a pattern in ``rest`` is dropped; a kept child's blocked sites follow
-    the counter's own step.  Prefixes of members are members, so the walk
-    visits members only.  No length may build more than ``MAX_ROWS``
-    children; past that it raises ``CapExceededError``.
+    entry).  A length is built one open site s at a time: the members open
+    at s write their children into the next rows, the entries above s moved
+    up by one and s + 1 appended, beside their parents' blocked sites and
+    heights, gathered by the same ``compress``.  A child whose new entry
+    completes an occurrence of a pattern in ``rest`` is dropped.  Each
+    child then takes the counter's own step for its site, read off its new
+    entry, and its height moves by its last ascent or descent.  Prefixes of
+    members are members, so the walk visits members only.  No length may
+    build more than ``MAX_ROWS`` children; past that it raises
+    ``CapExceededError``.
     """
     if n < 1:
         return
     dtype = np.min_scalar_type(n)
-    bits = np.uint64 if n < 64 else object  # a level of length k has k + 1 sites
+    # a length below n has at most n sites, a bit each, and past 63 sites
+    # Python ints; no word narrower than 32 bits, whose numpy loops would be
+    # paged in beside the keys' (0.2 MB more RSS for ``enumerate --n 9``)
+    bits = np.uint32 if n <= 32 else np.uint64 if n < 64 else object
+    heights = np.min_scalar_type(-n)  # 0..n - 1, signed for the step down
     roots = 0 if any(len(q) == 1 for q in rest) else 1  # every entry is an occurrence of 1
     rows = np.ones((roots, 1), dtype=dtype)
     blocked = np.zeros(roots, dtype=bits)
-    height = np.zeros(roots, dtype=np.intp)
+    height = np.zeros(roots, dtype=heights)
     keyed = not rest and n <= KEY_MAX_N
-    yield np.zeros(roots, dtype=np.uint64) if keyed and n == 1 else rows  # key of (1,) is 0
+    yield np.zeros(roots, dtype=_key_type(n)) if keyed and n == 1 else rows  # (1,) packs nothing
     for k in range(1, n):
-        common = int(np.bitwise_and.reduce(blocked))  # sites all members block (every site if none)
-        sites = [s for s in range(k + 1) if not common >> s & 1]
+        # the sites some member leaves open (none if there is no member),
+        # lowest first, one set bit at a time
+        free = ~int(np.bitwise_and.reduce(blocked)) & ((2 << k) - 1)
+        sites = []
+        while free:
+            sites.append((free & -free).bit_length() - 1)
+            free &= free - 1
         open_ = np.zeros((k + 1, len(rows)), dtype=bool)
         last, up = rows[:, -1], height > 0
         for s in sites:
@@ -228,52 +248,72 @@ def pruned_levels(n, mask, ballot_req, rest=()):
         size = np.count_nonzero(open_)
         if size > MAX_ROWS:
             raise _too_many_rows(n, mask, ballot_req, rest, size, k + 1)
-        prev = rows
-        if k + 1 < n:
+        prev, prev_blocked, prev_height = rows, blocked, height
+        grow = k + 1 < n  # the last length needs no state to grow from
+        if grow:
             rows = np.empty((size, k + 1), dtype=dtype)
-        else:  # the last length needs no state to grow from
-            del blocked, height
-            rows = np.empty(size, dtype=np.uint64) if keyed else np.empty((size, n), dtype=dtype)
+            blocked = np.empty(size, dtype=bits)
+            height = np.zeros(size, dtype=heights)
+        else:
+            del blocked, height, prev_blocked, prev_height, up
+            rows = np.empty(size, dtype=_key_type(n)) if keyed else np.empty((size, n), dtype=dtype)
         stop = 0
         for s in sites:
-            p = prev.compress(open_[s], axis=0)  # the members open at s
+            at = open_[s]  # the members open at s
+            p = prev.compress(at, axis=0)
             start, stop = stop, stop + len(p)
+            if grow:  # the parents' state, stepped below
+                prev_blocked.compress(at, out=blocked[start:stop])
+                if ballot_req:
+                    prev_height.compress(at, out=height[start:stop])
             p += p > s  # the entries above s move up by one
             if rows.ndim == 2:
                 rows[start:stop, :k], rows[start:stop, k] = p, s + 1
-                continue
-            keys = rows[start:stop]
-            keys[...] = s  # the last entry, s + 1, less one
-            for j in range(k):
-                keys |= np.left_shift(p[:, j] - 1, 4 * (k - j), dtype=np.uint64)
+            else:  # the first k entries, 4 bits apiece; s + 1 is the last
+                keys = rows[start:stop]
+                np.left_shift(p[:, 0], 4 * (k - 1), out=keys, dtype=keys.dtype)
+                for j in range(1, k):
+                    keys += np.left_shift(p[:, j], 4 * (k - 1 - j), dtype=keys.dtype)
+            del p  # freed before the next site's children are copied
+        if rows.ndim == 1:
+            rows -= (16 ** k - 1) // 15  # one from every entry, so that each fits its 4 bits
         if rest:
             # the parent avoids every q, so only an occurrence that ends at
             # the new entry can be new
             keep = ~np.logical_or.reduce([_completes(rows, q) for q in rest])
             rows = rows[keep]
+            if grow:
+                blocked, height = blocked[keep], height[keep]
         yield rows
-        if k + 1 == n:
+        if not grow:
             return
-        # each child's site and parent, in the order the children were written
-        s, parent = open_.nonzero()
-        if rest:
-            s, parent = s[keep], parent[keep]
-        if ballot_req:
-            height = height[parent] + np.where(prev[parent, -1] <= s, 1, -1)
-        low, add = np.zeros(k + 1, dtype=bits), np.zeros(k + 1, dtype=bits)
-        for site in sites:
-            low[site], add[site] = _blocked_by(mask, k, site)
-        b, sb = blocked[parent], s.astype(bits)
-        blocked = (b & low[s]) | (b >> sb << (sb + 1)) | add[s]
-        del s, parent, b, sb  # not to be held beside the next length
+        del prev, prev_blocked, prev_height, open_  # not to be held beside the next length
+        # each child's step, from its site s: its new entry less one
+        low, add = np.zeros((2, k + 1), dtype=bits)
+        for s in sites:
+            low[s], add[s] = _blocked_by(mask, k, s)
+        s = rows[:, k] - 1
+        blocked = (blocked & low[s]) | (blocked >> s << (s + 1)) | add[s]
+        if ballot_req:  # up one for an ascent, down one for a descent
+            height += (rows[:, k] > rows[:, k - 1]) * heights.type(2) - 1
+        del s
+
+
+def _key_type(n):
+    """The unsigned type of the packed keys of length n: 4 bits for each
+    entry but the last."""
+    return np.uint32 if n <= 9 else np.uint64
 
 
 def check_rows(n, mask, ballot_req, rest=()):
     """Refuse a listing to n as ``pruned_levels`` would, before any row is
     built: for length-3 patterns alone, read ``_counts`` up to the first
     length past ``MAX_ROWS``.  A pass that reaches ``MAX_STATES`` first
-    refuses with the counter's error (no class does below n = 1,000); with a
-    pattern in ``rest`` the walk's own bound decides."""
+    refuses with the counter's error, which no class does here: each passes
+    ``MAX_ROWS`` first or keeps at most 251 states a length to n = 1,000,
+    while the counter's own reach ends sooner for some (ballot {321} passes
+    ``MAX_STATES`` at length 367).  With a pattern in ``rest`` the walk's own
+    bound decides."""
     if rest:  # the walk builds children that the completion test drops
         return
     for length, size in enumerate(_counts(n, mask, ballot_req), 1):
@@ -300,16 +340,34 @@ def pruned_fill(n, mask, ballot_req, rest=()):
 
 def listing_rows(listing, n, start=0, stop=None):
     """Members ``start`` to ``stop`` (all by default) of a length-n listing
-    as an (m, n) array: its rows, or its packed keys decoded one column at
-    a time."""
+    as an (m, n) array: its rows, or its packed keys decoded
+    ``_DECODE_KEYS`` at a time by ``_decode``."""
     part = listing[start:stop]
     if part.ndim == 2:
         return part
     rows = np.empty((len(part), n), dtype=np.uint8)
-    for j in range(n):
-        rows[:, j] = part >> np.uint64(4 * (n - 1 - j)) & np.uint64(15)
-    rows += 1
+    for i in range(0, len(part), _DECODE_KEYS):
+        _decode(part[i:i + _DECODE_KEYS], rows[i:i + _DECODE_KEYS])
     return rows
+
+
+def _decode(keys, rows):
+    """Write the members of packed ``keys`` into ``rows``: the first entries
+    one column at a time, and the last from the sum of the keys' nibbles,
+    since every entry less one sums to n (n - 1) / 2."""
+    n = rows.shape[1]
+    t = keys.dtype.type
+    for j in range(n - 1):
+        rows[:, j] = keys >> t(4 * (n - 2 - j)) & t(15)
+    # the nibbles are summed in each byte, then the bytes by one multiply
+    # into the top byte (at most 120, so no partial sum carries)
+    ones = np.iinfo(t).max // 255  # 0x0101...01
+    nibbles = keys & t(15 * ones)
+    nibbles += keys >> t(4) & t(15 * ones)
+    nibbles *= t(ones)
+    nibbles >>= t(8 * keys.itemsize - 8)
+    rows[:, n - 1] = n * (n - 1) // 2 - nibbles
+    rows += 1
 
 
 def pruned_tally(n, mask, ballot_req, rest=()):

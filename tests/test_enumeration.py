@@ -238,6 +238,24 @@ def test_walk_memory_is_a_small_multiple_of_its_output():
         assert peak < 4 * rows.nbytes, (ballot, f"{peak / rows.nbytes:.1f} x its output")
 
 
+def test_walk_state_is_narrow_beside_its_output():
+    # the 23,283 members of ballot {312} of length 11 hold their blocked
+    # sites and heights in 32 and 8 bits, gathered one site at a time, so
+    # the walk to length 12 peaks below 3.2 times its keys; eight bytes a
+    # child for each of its site, parent, blocked sites and height take it
+    # to 3.8 times
+    mask = _kernels.split(parse_pattern_set("312"))[0]
+    tracemalloc.start()
+    try:
+        for keys in _kernels.pruned_levels(12, mask, True):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(keys) == 71_610 and keys.dtype == np.uint64
+    assert peak < 3.2 * keys.nbytes, f"{peak / keys.nbytes:.2f} x its output"
+
+
 def _walk(n, mask, ballot):
     """Run the walk of ``pruned_levels`` to length n under its own bound,
     without ``check_rows``."""
@@ -547,7 +565,8 @@ def test_keyed_listing_matches_oracle_all_masks():
             for n in range(1, 11):
                 listing = _kernels.pruned_fill(n, mask, ballot)
                 expected = _kernels.oracle_fill(n, mask, ballot, 0)
-                assert listing.shape == (len(expected),) and listing.dtype == np.uint64
+                assert listing.shape == (len(expected),)
+                assert listing.dtype == (np.uint32 if n <= 9 else np.uint64), (mask, ballot, n)
                 rows = _kernels.listing_rows(listing, n)
                 assert rows.dtype == expected.dtype, (mask, ballot, n)
                 assert np.array_equal(rows, expected), (mask, ballot, n)
@@ -557,8 +576,9 @@ def test_keyed_listing_matches_oracle_all_masks():
 
 
 def test_keyed_listing_ends_at_n16():
-    # n = 16 fills all 64 bits of a key; n = 17 and sets with a pattern in
-    # rest take the row path, which lists the same members
+    # n = 16 packs its first 15 entries into 60 bits of a key, and an entry
+    # of 17 no longer fits 4 bits; n = 17 and sets with a pattern in rest
+    # take the row path, which lists the same members
     for text in ("123,132", "132,213", "231,312,321"):
         pset = parse_pattern_set(text)
         mask = _kernels.split(pset)[0]
