@@ -2,14 +2,17 @@
 """Time the enumeration and counting kernels.
 
 Usage:
-    python benchmarks/benchmark_kernels.py [--repeat N]
+    python benchmarks/benchmark_kernels.py [--repeat N] [--seed S]
 
 Each case is one direct call of a kernel, on a workload large enough to
 dominate call overhead, that returns the result printed beside its time;
 the comment beside each case says why it is there.  Every time is the
-median of ``--repeat`` runs, printed with its sample count.  The peak is
-the tracemalloc peak of one more, untimed run (numpy reports its buffers
-to tracemalloc).  The oracle's row and classification memos are cleared
+median of ``--repeat`` runs, printed with its sample count.  The runs go in
+``--repeat`` rounds, each of which runs every case once in an order
+shuffled by ``--seed``, so that a drift of the host's speed spreads over
+all cases instead of reading as a change of the cases timed while it
+lasted.  The peak is the tracemalloc peak of one more, untimed run (numpy
+reports its buffers to tracemalloc).  The oracle's row and classification memos are cleared
 before each run, so each time and peak includes the work that every
 command pays once.  All kernels run on the interpreter and numpy.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import random
 import statistics
 import time
 import tracemalloc
@@ -129,15 +133,12 @@ def _clear_memos():
     _kernels._lex_rows.cache_clear()  # and builds its rows afresh
 
 
-def _time(call, repeat):
-    """Median seconds over ``repeat`` runs of ``call``, and its last result."""
-    samples = []
-    for _ in range(repeat):
-        _clear_memos()
-        t0 = time.perf_counter()
-        result = call()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples), result
+def _time(call):
+    """Seconds of one run of ``call``, and its result."""
+    _clear_memos()
+    t0 = time.perf_counter()
+    result = call()
+    return time.perf_counter() - t0, result
 
 
 def _peak(call):
@@ -154,16 +155,27 @@ def _peak(call):
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    print(f"medians of {args.repeat} run(s) each")
+    rng = random.Random(args.seed)
+    samples = collections.defaultdict(list)
+    results = {}
+    order = list(CASES)
+    for _ in range(args.repeat):
+        rng.shuffle(order)
+        for label, call in order:
+            seconds, results[label] = _time(call)
+            samples[label].append(seconds)
+
+    print(f"medians of {args.repeat} run(s) each, in rounds shuffled by seed {args.seed}")
     print(f"{'case':<36} {'time':>10} {'peak':>10}  result")
     for label, call in CASES:
-        seconds, result = _time(call, args.repeat)
+        seconds = statistics.median(samples[label])
         peak = _peak(call) / 2**20
-        print(f"{label:<36} {seconds:>9.4f}s {peak:>7.1f} MB  {result}")
+        print(f"{label:<36} {seconds:>9.4f}s {peak:>7.1f} MB  {results[label]}")
 
 
 if __name__ == "__main__":

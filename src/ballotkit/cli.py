@@ -9,7 +9,11 @@ the library applies them.
 Each command imports only the modules it runs: ``formulas``,
 ``verification`` and ``bijections`` are imported inside the handlers and
 branches that use them, so ``enumerate`` and ``count`` by the counter or the
-oracle compile none of them.
+oracle compile none of them.  numpy comes last: it loads with ``_kernels``,
+which ``enumeration`` and ``_slices`` import at the first kernel call.  So a
+command parses its arguments and compiles every module it runs before numpy
+loads, and ``formula``, ``biject`` and ``count --method formula`` never load
+it.
 
 ``enumerate`` decodes, formats and writes its sorted listing in slices of
 about ``LISTING_SLICE_BYTES`` each, plain and JSON alike, so that a listing
@@ -24,7 +28,6 @@ import argparse
 import json
 import sys
 
-from . import _kernels
 from .enumeration import (
     Caps,
     SequenceRecord,
@@ -121,6 +124,8 @@ def _slices(listing, n):
     """The rows of a length-n ``listing`` in consecutive slices of at least
     one row, each decoded in turn and spelled by ``format_rows`` in at most
     ``LISTING_SLICE_BYTES`` of cells."""
+    from . import _kernels
+
     step = max(1, LISTING_SLICE_BYTES // max(1, n * (len(str(n)) + 1)))
     return (_kernels.listing_rows(listing, n, start, start + step)
             for start in range(0, len(listing), step))

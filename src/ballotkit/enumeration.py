@@ -16,7 +16,9 @@ method it runs, parts the set with ``_kernels.split`` and makes one kernel
 call: ``oracle_fill`` or ``pruned_fill`` to list (``pruned_fill`` refuses an
 oversized listing itself), and ``oracle_tally`` or ``pruned_tally`` to count.
 The kernels' module docstring states the pattern encoding, the engines and
-the refusal rule.
+the refusal rule.  Each function that calls a kernel imports ``_kernels``
+itself, so numpy, which ``_kernels`` imports, loads at the first kernel call
+and not with this module.
 
 ``Caps`` holds both length caps and applies them: each function takes one
 as ``caps`` and refuses n past the cap of the method it runs (the oracle's
@@ -28,12 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from . import _kernels
 from .errors import CapExceededError, InvalidInputError
 from .patterns import PatternSet, canonical_pattern_set, format_pattern_set
 from .perms import Perm
 
-if TYPE_CHECKING:  # annotations only; _kernels imports numpy at run time
+if TYPE_CHECKING:  # annotations only; numpy loads with _kernels, at the first kernel call
     import numpy as np
 
 
@@ -88,6 +89,8 @@ def _rows_to_perms(rows) -> list[Perm]:
 def _partition_firsts(n: int, mask: int, ballot: bool, rest: PatternSet):
     """The pruned listing, in one kernel call.  A function of its own because
     ``perfbench/tracer.py`` times it by this name."""
+    from . import _kernels
+
     return _kernels.pruned_fill(n, mask, ballot, rest)
 
 
@@ -106,6 +109,8 @@ def enumerate_listing(
     above its cap in ``caps``, and "pruned" also a length of more than
     ``_kernels.MAX_ROWS`` rows.  Length 0 gives one empty row.
     """
+    from . import _kernels
+
     caps.check(method, n, "enumeration")
     if n < 0:
         raise InvalidInputError("n must be nonnegative")
@@ -117,6 +122,8 @@ def enumerate_listing(
 
 def enumerate_rows(n: int, patterns: PatternSet = (), **options) -> np.ndarray:
     """``enumerate_listing`` (with ``options``) as one (m, n) array of rows."""
+    from . import _kernels
+
     return _kernels.listing_rows(enumerate_listing(n, patterns, **options), n)
 
 
@@ -174,6 +181,8 @@ def count_sequence(
     caps: Caps = Caps(),
 ) -> SequenceRecord:
     """Counts for n = 1..n_max with the stated provenance."""
+    from . import _kernels
+
     if n_max < 1:
         raise InvalidInputError("n_max must be at least 1")
     caps.check(method, n_max, "counting")

@@ -17,11 +17,12 @@ integer array, in the format ``format_perm`` picks.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InvalidInputError
+
+if TYPE_CHECKING:  # annotations only; format_rows imports numpy when it runs
+    import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -209,11 +210,14 @@ def format_rows(rows: np.ndarray) -> str:
     (leading digits, and the commas the compact format omits) dropped at
     the end.
 
+    >>> import numpy as np
     >>> format_rows(np.array([[4, 5, 6, 3, 1, 2], [1, 2, 3, 4, 5, 6]]))
     '456312\\n123456\\n'
     >>> format_rows(np.arange(1, 11).reshape(1, 10))
     '1,2,3,4,5,6,7,8,9,10\\n'
     """
+    import numpy as np
+
     m, n = rows.shape
     if n == 0:
         return "\n" * m

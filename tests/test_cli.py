@@ -613,32 +613,54 @@ import contextlib, io, sys
 from ballotkit import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("ballotkit")))
+print(code, *(m for m in sys.modules if m.startswith("ballotkit") or m == "numpy"))
 """
 #: The modules every command loads: the package, the CLI, the policy layer
 #: and what it stands on.
 _COMMON_MODULES = {"ballotkit", "ballotkit.cli", "ballotkit.reports", "ballotkit.enumeration",
-                   "ballotkit._kernels", "ballotkit.errors", "ballotkit.patterns",
-                   "ballotkit.perms"}
+                   "ballotkit.errors", "ballotkit.patterns", "ballotkit.perms"}
 
 
-@pytest.mark.parametrize("argv, extra", [
-    (["enumerate", "--patterns", "132", "--n", "5"], ()),
-    (["count", "--patterns", "321", "--n-max", "6"], ()),
-    (["count", "--patterns", "321", "--n-max", "6", "--method", "oracle"], ()),
-    (["count", "--patterns", "321", "--n-max", "6", "--method", "both"],
-     ("formulas", "verification")),
-    (["formula", "--patterns", "321", "--n", "6"], ("formulas",)),
-    (["biject", "--map", "dyck", "--perm", "1,2"], ("bijections",)),
-    (["verify", "--suite", "tables", "--n-max", "3"], ("formulas", "verification")),
-], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
-def test_each_command_loads_only_the_modules_it_runs(argv, extra):
+def _modules_loaded(argv):
+    """The exit code of ``ballotkit argv`` run in a fresh interpreter, and the
+    ``ballotkit`` modules and numpy that it loaded, in ``sys.modules`` order."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ballotkit.__file__))}
     out = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
     code, *modules = out.split()
+    return code, modules
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["enumerate", "--patterns", "132", "--n", "5"], ("_kernels",)),
+    (["count", "--patterns", "321", "--n-max", "6"], ("_kernels",)),
+    (["count", "--patterns", "321", "--n-max", "6", "--method", "oracle"], ("_kernels",)),
+    (["count", "--patterns", "321", "--n-max", "6", "--method", "both"],
+     ("_kernels", "formulas", "verification")),
+    (["formula", "--patterns", "321", "--n", "6"], ("formulas",)),
+    (["biject", "--map", "dyck", "--perm", "1,2"], ("bijections",)),
+    (["verify", "--suite", "tables", "--n-max", "3"], ("_kernels", "formulas", "verification")),
+    (["count", "--patterns", "321", "--n-max", "6", "--method", "formula"], ("formulas",)),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_each_command_loads_only_the_modules_it_runs(argv, extra):
+    code, modules = _modules_loaded(argv)
     assert code == "0"
-    assert set(modules) == _COMMON_MODULES | {f"ballotkit.{name}" for name in extra}
+    assert set(modules) - {"numpy"} == _COMMON_MODULES | {f"ballotkit.{name}" for name in extra}
+    # numpy loads with the kernels and only with them
+    assert ("numpy" in modules) == ("_kernels" in extra)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--n-max", "5", "--method", "both"],
+    ["enumerate", "--n", "9"],
+    ["verify", "--suite", "all", "--n-max", "3"],
+], ids=" ".join)
+def test_numpy_loads_after_every_module_the_command_compiles(argv):
+    code, modules = _modules_loaded(argv)
+    assert code == "0"
+    # a module takes its place in sys.modules when it finishes loading, so
+    # only _kernels, which imports numpy, may finish after numpy
+    assert modules[-2:] == ["numpy", "ballotkit._kernels"]
 
 
 #: Every name the package exported when its ``__init__`` imported them all.
