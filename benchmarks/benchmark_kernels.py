@@ -2,19 +2,20 @@
 """Time the enumeration and counting kernels.
 
 Usage:
-    python benchmarks/benchmark_kernels.py [--repeat N] [--seed S]
+    python benchmarks/benchmark_kernels.py [--repeat N]
 
 Each case is one direct call of a kernel, on a workload large enough to
 dominate call overhead, that returns the result printed beside its time;
 the comment beside each case says why it is there.  Every time is the
 median of ``--repeat`` runs, printed with its sample count.  The runs go in
-``--repeat`` rounds, each of which runs every case once in an order
-shuffled by ``--seed``, so that a drift of the host's speed spreads over
-all cases instead of reading as a change of the cases timed while it
-lasted.  The peak is the tracemalloc peak of one more, untimed run (numpy
-reports its buffers to tracemalloc).  The oracle's row and classification memos are cleared
-before each run, so each time and peak includes the work that every
-command pays once.  All kernels run on the interpreter and numpy.
+``--repeat`` rounds, each of which runs every case once in a shuffled
+order (the same on every invocation), so that a drift of the host's speed
+spreads over all cases instead of reading as a change of the cases timed
+while it lasted.  The peak is the tracemalloc peak of one more, untimed run
+(numpy reports its buffers to tracemalloc).  The oracle's row and
+classification memos are cleared before each run, so each time and peak
+includes the work that every command pays once.  All kernels run on the
+interpreter and numpy.
 """
 from __future__ import annotations
 
@@ -155,12 +156,11 @@ def _peak(call):
 def main() -> None:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    rng = random.Random(args.seed)
+    rng = random.Random(0)
     samples = collections.defaultdict(list)
     results = {}
     order = list(CASES)
@@ -170,7 +170,7 @@ def main() -> None:
             seconds, results[label] = _time(call)
             samples[label].append(seconds)
 
-    print(f"medians of {args.repeat} run(s) each, in rounds shuffled by seed {args.seed}")
+    print(f"medians of {args.repeat} run(s) each")
     print(f"{'case':<36} {'time':>10} {'peak':>10}  result")
     for label, call in CASES:
         seconds = statistics.median(samples[label])
