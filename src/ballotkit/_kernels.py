@@ -26,9 +26,12 @@ and lists through one, ``pruned_fill`` or ``oracle_fill``.
 - ``oracle_fill``: classify every permutation of 1..n, block by block
   (``_blocks``, ``_classify``), and keep the members in lex order.  Free of
   pruning and of the pruned kernels' logic, it is the independent reference
-  the pruned paths are validated against.  Rows up to n = 9 and codes up to
-  n = 10 are memoized, so every class of such a length is listed from one
-  classification.
+  the pruned paths are validated against.  A block of up to 9! rows is built
+  and classified ``_CLASSIFY_ROWS`` = 8! rows at a time (``_codes_into``),
+  so that its temporaries stay a few MB: ``_oracle_codes(10)`` peaks at
+  10.4 MB traced, 6.9 MB of it the codes and the tails.  Rows up to n = 9 and
+  codes up to n = 10 are memoized, so every class of such a length is listed
+  from one classification.
 - ``oracle_census``: the same codes tallied by code, memoized per length.
   ``_kept`` alone says which codes a class keeps, listed or tallied.
 """
@@ -383,6 +386,9 @@ def pruned_tally(n, mask, ballot_req, rest=()):
 #: whose rows are kept as tails (9! x 9 bytes).  The codes are kept one length
 #: further, to the last length with one block per first value (10! bytes).
 _FREE_MAX = 9
+#: Most rows ``_classify`` takes at once (8!), so that its temporaries stay
+#: small beside the codes; a block of more rows is classified in slices.
+_CLASSIFY_ROWS = 40_320
 
 
 def _codes_to_patterns():
@@ -491,20 +497,32 @@ def _classify(block):
     return out
 
 
+def _codes_into(prefix, tail, codes):
+    """Write the codes of the block of ``prefix`` and ``tail`` into
+    ``codes``, built and classified ``_CLASSIFY_ROWS`` rows at a time;
+    return ``codes``.
+
+    A slice's codes, the last array its classification makes, are held
+    until the next slice is classified.  Above the slice's freed temporaries
+    on the heap, they keep the allocator from handing that memory back to
+    the system only to fault it in again for the next slice: at n = 11 that
+    took 936,000 page faults, and takes about 90,000.
+    """
+    for i in range(0, len(tail), _CLASSIFY_ROWS):
+        part = _classify(_block(prefix, tail[i:i + _CLASSIFY_ROWS]))
+        codes[i:i + len(part)] = part
+    return codes
+
+
 @functools.cache
 def _oracle_codes(n):
     """The classification code of every permutation of 1..n,
     n <= _FREE_MAX + 1, as a read-only n!-byte uint8 array in lex order;
-    computed once per n.
-
-    The array is made before the first block is classified, so that it
-    does not sit above the classification temporaries on the heap and keep
-    their memory from being reused (that cost 20 MB of peak RSS at n = 10).
-    """
+    computed once per n."""
     codes = np.empty(math.factorial(n), dtype=np.uint8)
     start = 0
     for prefix, tail in _blocks(n):
-        codes[start:start + len(tail)] = _classify(_block(prefix, tail))
+        _codes_into(prefix, tail, codes[start:start + len(tail)])
         start += len(tail)
     codes.flags.writeable = False
     return codes
@@ -516,7 +534,8 @@ def _block_codes(n):
     and classified afresh, kept nowhere, above it."""
     if n <= _FREE_MAX + 1:
         return _oracle_codes(n).reshape(max(n, 1), -1)
-    return (_classify(_block(prefix, tail)) for prefix, tail in _blocks(n))
+    return (_codes_into(prefix, tail, np.empty(len(tail), dtype=np.uint8))
+            for prefix, tail in _blocks(n))
 
 
 def _contains_any(rows, patterns):

@@ -21,10 +21,16 @@ never holds its whole text, one string per row, a whole JSON document or
 all of its rows.  The JSON
 is written as its head up to ``"perms": [``, each slice's quoted lines, and
 its tail, byte for byte what ``json.dumps(payload, sort_keys=True)`` gives.
+Every other JSON document (``count``, ``formula``, ``verify``) is encoded by
+``_emit_json`` straight to stdout, never held whole as one string, to the
+same bytes.  Counts print at any length: Python's 4,300-digit limit on
+turning an int into text is lifted while counts are written, and stays for
+reading integers from the command line.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -100,9 +106,25 @@ def _check_formula_n(n: int) -> None:
                                f"{FORMULA_MAX_N}")
 
 
+@contextlib.contextmanager
+def _any_length_ints():
+    """Let ints of any length be printed within the block: counts outgrow
+    Python's 4,300-digit limit, which stays for ``int()`` on the input."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit_json(payload: dict) -> None:
+    """Write ``payload`` with its schema marker to stdout as one line of
+    JSON, encoded straight to the stream rather than to one string."""
     payload.setdefault("schema", SCHEMA_VERSION)
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    with _any_length_ints():
+        json.dump(payload, sys.stdout, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def parse_json_output(text: str) -> dict:
@@ -204,11 +226,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
             "provenance": record.provenance,
             "counts": list(record.counts),
         })
-    elif args.format == "plain":
-        sys.stdout.write(",".join(str(c) for c in record.counts) + "\n")
     else:
-        for i, c in enumerate(record.counts):
-            sys.stdout.write(f"{i + 1} {c}\n")
+        with _any_length_ints():
+            if args.format == "plain":
+                sys.stdout.write(",".join(str(c) for c in record.counts) + "\n")
+            else:
+                for i, c in enumerate(record.counts):
+                    sys.stdout.write(f"{i + 1} {c}\n")
     return EXIT_OK
 
 

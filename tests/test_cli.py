@@ -602,6 +602,44 @@ def test_bfile_output_is_byte_stable(capsys):
     assert len(runs) == 1
 
 
+def test_counts_of_any_length_print(capsys, monkeypatch):
+    # past 4,300 digits Python refuses to print an int, or to read one,
+    # unless told otherwise
+    limit = sys.get_int_max_str_digits()
+    digits = "1" + "0" * 5000
+    monkeypatch.setattr(cli, "count_sequence", lambda pset, n_max, method, ballot, caps:
+                        cli.SequenceRecord(pset, (1, 10 ** 5000), method))
+    count = ("count", "--n-max", "2", "--format")
+    assert run(capsys, *count, "bfile") == (0, f"1 1\n2 {digits}\n", "")
+    assert run(capsys, *count, "plain") == (0, f"1,{digits}\n", "")
+    code, out, _ = run(capsys, *count, "json")
+    assert code == 0 and f'"counts": [1, {digits}]' in out and out.endswith("}\n")
+    cli._emit_json({"count": 10 ** 5000})
+    assert capsys.readouterr().out == f'{{"count": {digits}, "schema": 1}}\n'
+    # the limit still holds for what the command line reads
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run_exit(capsys, "count", "--n-max", "1" * 5000)
+    assert (code, out) == (2, "") and "expected an integer" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "formulas", "--n-max", "12"],
+    ["formula", "--patterns", "132", "--n", "1000"],
+])
+def test_json_reports_are_the_bytes_of_json_dumps(capsys, monkeypatch, argv):
+    payloads = []
+    emit = cli._emit_json
+
+    def recorded(payload):
+        payloads.append(payload)
+        emit(payload)
+
+    monkeypatch.setattr(cli, "_emit_json", recorded)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(payloads) == 1
+    assert out == json.dumps(payloads[0], sort_keys=True) + "\n"
+
+
 def test_usage_error_unknown_suite():
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "nonsense"])

@@ -474,6 +474,31 @@ def test_oracle_classifies_each_length_once(monkeypatch):
     assert _kernels._oracle_codes.cache_info().currsize == kept
 
 
+def test_oracle_classifies_at_most_classify_rows_at_once(monkeypatch):
+    codes = _kernels._oracle_codes(7).tobytes()
+    rows = _kernels.oracle_fill(7, 6, True, 0).tolist()
+    census = _kernels.oracle_census(7).tolist()
+    classified = []
+    classify = _kernels._classify
+
+    def counted(block):
+        classified.append(len(block))
+        return classify(block)
+
+    monkeypatch.setattr(_kernels, "_classify", counted)
+    monkeypatch.setattr(_kernels, "_CLASSIFY_ROWS", 100)
+    _kernels._oracle_codes.cache_clear()
+    assert _kernels._oracle_codes(7).tobytes() == codes
+    assert classified == ([100] * 7 + [20]) * 7  # each block of 720 rows in slices
+    # past _FREE_MAX + 1, where each call classifies afresh: 42 blocks of 5!
+    monkeypatch.setattr(_kernels, "_FREE_MAX", 5)
+    monkeypatch.setattr(_kernels, "_CLASSIFY_ROWS", 50)
+    classified.clear()
+    assert _kernels.oracle_fill(7, 6, True, 0).tolist() == rows
+    assert _kernels.oracle_census.__wrapped__(7).tolist() == census
+    assert classified == [50, 50, 20] * 42 * 2
+
+
 def test_oracle_census_matches_naive_census(census):
     # one entry per classification code: the set of contained length-3
     # patterns, plus the ballot bit for ballot permutations
