@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import math
 import random
 import statistics
 import time
@@ -77,6 +78,10 @@ CASES = [
     ("pruned_count {132} n=100", lambda: pruned_count(100, _mask("132"), True)[-1]),
     ("pruned_count {312} n=100", lambda: pruned_count(100, _mask("312"), True)[-1]),
     ("pruned_count {} n=100", lambda: pruned_count(100, 0, True)[-1]),
+    # plain {} meets each (top, blocked) pair once: the counter's memo of
+    # steps holds one length's pairs; the result is whether it counts 600!
+    ("pruned_count {} plain n=600",
+     lambda: pruned_count(600, 0, False)[-1] == math.factorial(600)),
     # the classes the benchmark's enumerate workload lists, as packed keys;
     # "rows" decodes every row at once, as enumerate_rows returns them
     ("pruned_fill {} n=9", lambda: len(pruned_fill(9, 0, True))),
@@ -123,6 +128,8 @@ CASES = [
                  for mask in range(64) for ballot in (True, False))),
     # the census is memoized per length; time the computation behind the cache
     ("oracle_census n=8", lambda: int(oracle_census.__wrapped__(8).sum())),
+    # the whole classification of 10!: 90 blocks of 8! rows, kept as codes
+    ("oracle_census n=10", lambda: int(oracle_census.__wrapped__(10).sum())),
     # verify's bijection rows, listed from the oracle up to its cap of 10
     ("suite_bijections n=8", lambda: _passed(suite_bijections(8))),
     ("suite_bijections n=10", lambda: _passed(suite_bijections(10))),

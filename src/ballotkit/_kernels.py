@@ -26,10 +26,10 @@ and lists through one, ``pruned_fill`` or ``oracle_fill``.
 - ``oracle_fill``: classify every permutation of 1..n, block by block
   (``_blocks``, ``_classify``), and keep the members in lex order.  Free of
   pruning and of the pruned kernels' logic, it is the independent reference
-  the pruned paths are validated against.  A block of up to 9! rows is built
-  and classified ``_CLASSIFY_ROWS`` = 8! rows at a time (``_codes_into``),
-  so that its temporaries stay a few MB: ``_oracle_codes(10)`` peaks at
-  10.4 MB traced, 6.9 MB of it the codes and the tails.  Rows up to n = 9 and
+  the pruned paths are validated against.  A block follows a prefix of
+  max(1, n - 8) values and holds at most 8! rows, built and classified
+  whole, so that its temporaries stay a few MB: ``_oracle_codes(10)`` peaks
+  at 7.1 MB traced, 3.6 MB of it the codes.  Rows up to n = 8 (0.3 MB) and
   codes up to n = 10 are memoized, so every class of such a length is listed
   from one classification.
 - ``oracle_census``: the same codes tallied by code, memoized per length.
@@ -135,7 +135,6 @@ def _counts(n, mask, ballot_req):
     if n < 1:
         return
 
-    @functools.cache
     def steps(top, blocked):
         """(s, (top, blocked, last rank)) for each open site s of a state:
         the child's state once its interior blocked sites are deleted."""
@@ -152,11 +151,17 @@ def _counts(n, mask, ballot_req):
 
     yield 1
     table = {(1, 0, 1, 0): 1}
+    # the steps of the pairs (top, blocked) met, cut after each length to the
+    # new table's: plain {} meets each pair once, so a whole pass's grows as n^2
+    memo = {}
     for k in range(1, n):
         room = n - k - 1
         nxt = {}
         for (top, blocked, last, height), c in table.items():
-            for s, state in steps(top, blocked):
+            children = memo.get((top, blocked))
+            if children is None:
+                children = memo[top, blocked] = steps(top, blocked)
+            for s, state in children:
                 h = 0
                 if ballot_req:
                     h = height + 1 if s >= last else height - 1
@@ -172,6 +177,7 @@ def _counts(n, mask, ballot_req):
                     f"{MAX_STATES:,} states at n={k + 1}; lower n")
         yield sum(nxt.values())
         table = nxt
+        memo = {pair: memo[pair] for pair in {key[:2] for key in table} if pair in memo}
 
 
 def pruned_count(n, mask, ballot_req):
@@ -381,14 +387,13 @@ def pruned_tally(n, mask, ballot_req, rest=()):
     return pruned_count(n, mask, ballot_req)
 
 
-#: Most values a block of the oracle leaves free behind its fixed prefix, so
-#: that no block holds more than 9! = 362,880 rows; also the longest length
-#: whose rows are kept as tails (9! x 9 bytes).  The codes are kept one length
-#: further, to the last length with one block per first value (10! bytes).
-_FREE_MAX = 9
-#: Most rows ``_classify`` takes at once (8!), so that its temporaries stay
-#: small beside the codes; a block of more rows is classified in slices.
-_CLASSIFY_ROWS = 40_320
+#: Most values a block of the oracle leaves free behind its prefix, so that no
+#: block holds more than 8! = 40,320 rows; also the longest length whose rows
+#: are kept as tails (8! x 8 bytes).
+_FREE_MAX = 8
+#: Longest length whose classification codes are kept, one byte a
+#: permutation (10! bytes); those of 11 would take 40 MB.
+_CODES_MAX_N = 10
 
 
 def _codes_to_patterns():
@@ -411,47 +416,50 @@ def _codes_to_patterns():
 _PATTERNS_OF_CODES = _codes_to_patterns()
 
 
-def _block(prefix, tail, out=None):
+def _block(prefix, tail):
     """``prefix`` followed by each row of ``tail`` stepped over the values
-    the prefix holds, as an (len(tail), n) uint8 array, written into ``out``
-    when given.  With ``tail`` every permutation of 1..k in lex order, the
-    block is every permutation of 1..n that starts with ``prefix``, in lex
-    order; row i of the block comes from row i of ``tail``."""
+    the prefix holds, as an (len(tail), n) uint8 array.  With ``tail`` every
+    permutation of 1..k in lex order, the block is every permutation of 1..n
+    that starts with ``prefix``, in lex order; row i of the block comes from
+    row i of ``tail``."""
     fixed = len(prefix)
-    if out is None:
-        out = np.empty((len(tail), fixed + tail.shape[1]), dtype=np.uint8)
+    out = np.empty((len(tail), fixed + tail.shape[1]), dtype=np.uint8)
     out[:, :fixed] = prefix
-    rest = out[:, fixed:]
-    rest[...] = tail
+    rest = tail.copy()  # a pass over out's strided columns takes over ten times as long
     for v in sorted(prefix):
         rest += rest >= v  # step over the values the prefix holds
+    out[:, fixed:] = rest
     return out
 
 
 @functools.cache
 def _lex_rows(n):
-    """Every permutation of 1..n, n <= _FREE_MAX, as a read-only (n!, n)
-    uint8 array in lex order: one block per first value, each built from
-    the rows of length n - 1; computed once per n."""
+    """Every permutation of 1..n as a read-only (n!, n) uint8 array in lex
+    order: the blocks of ``_blocks(n)``, each built from the rows of a
+    shorter length; computed once per n.  Those up to n = _FREE_MAX are the
+    blocks' tails (0.3 MB at n = 8)."""
     if n == 0:
         rows = np.empty((1, 0), dtype=np.uint8)
     else:
-        tail = _lex_rows(n - 1)
-        rows = np.empty((n * len(tail), n), dtype=np.uint8)
-        for v, block in enumerate(np.split(rows, n), 1):
-            _block((v,), tail, out=block)
+        rows = np.concatenate([_block(prefix, tail) for prefix, tail in _blocks(n)])
     rows.flags.writeable = False
     return rows
+
+
+def _free(n):
+    """How many values a block of length n leaves free: n - 1, at most _FREE_MAX."""
+    return min(max(n - 1, 0), _FREE_MAX)
 
 
 def _blocks(n):
     """The oracle's blocks of the permutations of 1..n, in lex order, as
     (prefix, tail) pairs: each prefix of max(1, n - _FREE_MAX) values (the
     empty one at n = 0) with ``_lex_rows`` of the values left free, from
-    which ``_block`` builds every permutation that starts with it."""
-    fixed = min(n, max(1, n - _FREE_MAX))
-    tail = _lex_rows(n - fixed)
-    return ((prefix, tail) for prefix in itertools.permutations(range(1, n + 1), fixed))
+    which ``_block`` builds every permutation that starts with it, at most
+    8! of them."""
+    free = _free(n)
+    tail = _lex_rows(free)
+    return ((prefix, tail) for prefix in itertools.permutations(range(1, n + 1), n - free))
 
 
 #: Bit of a classification code that holds the ballot flag.
@@ -497,45 +505,34 @@ def _classify(block):
     return out
 
 
-def _codes_into(prefix, tail, codes):
-    """Write the codes of the block of ``prefix`` and ``tail`` into
-    ``codes``, built and classified ``_CLASSIFY_ROWS`` rows at a time;
-    return ``codes``.
-
-    A slice's codes, the last array its classification makes, are held
-    until the next slice is classified.  Above the slice's freed temporaries
-    on the heap, they keep the allocator from handing that memory back to
-    the system only to fault it in again for the next slice: at n = 11 that
-    took 936,000 page faults, and takes about 90,000.
-    """
-    for i in range(0, len(tail), _CLASSIFY_ROWS):
-        part = _classify(_block(prefix, tail[i:i + _CLASSIFY_ROWS]))
-        codes[i:i + len(part)] = part
-    return codes
-
-
 @functools.cache
 def _oracle_codes(n):
     """The classification code of every permutation of 1..n,
-    n <= _FREE_MAX + 1, as a read-only n!-byte uint8 array in lex order;
-    computed once per n."""
+    n <= _CODES_MAX_N, as a read-only n!-byte uint8 array in lex order;
+    computed once per n.
+
+    A block's codes, the last array its classification makes, are held until
+    the next block is classified: above the block's freed temporaries on the
+    heap, they keep them from going back to the system and faulting in again.
+    """
     codes = np.empty(math.factorial(n), dtype=np.uint8)
     start = 0
     for prefix, tail in _blocks(n):
-        _codes_into(prefix, tail, codes[start:start + len(tail)])
-        start += len(tail)
+        part = _classify(_block(prefix, tail))
+        codes[start:start + len(part)] = part
+        start += len(part)
     codes.flags.writeable = False
     return codes
 
 
 def _block_codes(n):
     """The codes of each block of ``_blocks(n)``, in block order: rows of the
-    memo up to n = _FREE_MAX + 1 (one block per first value, one at n = 0),
-    and classified afresh, kept nowhere, above it."""
-    if n <= _FREE_MAX + 1:
-        return _oracle_codes(n).reshape(max(n, 1), -1)
-    return (_codes_into(prefix, tail, np.empty(len(tail), dtype=np.uint8))
-            for prefix, tail in _blocks(n))
+    memo, of the blocks' length, up to n = _CODES_MAX_N, and classified
+    afresh, kept nowhere, above it (each held by the caller's loop until the
+    next is classified)."""
+    if n <= _CODES_MAX_N:
+        return _oracle_codes(n).reshape(-1, math.factorial(_free(n)))
+    return (_classify(_block(prefix, tail)) for prefix, tail in _blocks(n))
 
 
 def _contains_any(rows, patterns):

@@ -387,15 +387,17 @@ def test_oracle_rows_match_naive_all_masks(members):
 
 
 def test_oracle_blocks_by_longer_prefixes(monkeypatch):
-    # lengths past 9 build their blocks behind a prefix (of more than the
-    # first value from n = 11 on) on the kept rows of length 9; shrink the
-    # free part so that small lengths take that path, and restrict the
-    # first value the way a caller may; every mask up to n = 5, and at n = 6,
-    # whose 120 blocks make each call slow, the masks of the first-value checks
+    # lengths past 9 build their blocks behind a prefix of more than the
+    # first value on the kept rows of length 8, and past 10 keep no codes;
+    # shrink the free part and the codes memo so that small lengths take
+    # those paths, and restrict the first value the way a caller may; every
+    # mask up to n = 5, and at n = 6, whose 120 blocks make each call slow,
+    # the masks of the first-value checks
     cases = [(n, mask) for n in range(1, 6) for mask in range(64)] + [(6, 0), (6, 6), (6, 40)]
     expected = {(n, mask, ballot): _kernels.oracle_fill(n, mask, ballot, 0).tolist()
                 for n, mask in cases for ballot in (True, False)}
     monkeypatch.setattr(_kernels, "_FREE_MAX", 3)
+    monkeypatch.setattr(_kernels, "_CODES_MAX_N", 4)
     # then n = 4 classifies its blocks behind the first value once and keeps
     # the codes, and n = 5, 6 classify theirs afresh on every call
     _kernels._oracle_codes.cache_clear()
@@ -463,10 +465,11 @@ def test_oracle_classifies_each_length_once(monkeypatch):
     _kernels.oracle_census(8)
     assert classified == [5040] * 8  # one block per first value
     assert not _kernels._oracle_codes(8).flags.writeable
-    # past _FREE_MAX + 1 every call classifies afresh and keeps nothing;
+    # past _CODES_MAX_N every call classifies afresh and keeps nothing;
     # move the bound down so that this takes 8! permutations, not 11!
     expected = _kernels.oracle_fill(8, 6, True, 0).tolist()
     monkeypatch.setattr(_kernels, "_FREE_MAX", 6)
+    monkeypatch.setattr(_kernels, "_CODES_MAX_N", 7)
     kept = _kernels._oracle_codes.cache_info().currsize
     for calls in (1, 2):
         assert _kernels.oracle_fill(8, 6, True, 0).tolist() == expected
@@ -474,7 +477,12 @@ def test_oracle_classifies_each_length_once(monkeypatch):
     assert _kernels._oracle_codes.cache_info().currsize == kept
 
 
-def test_oracle_classifies_at_most_classify_rows_at_once(monkeypatch):
+def test_oracle_classifies_at_most_free_max_factorial_rows(monkeypatch):
+    # every block of every length holds (n - 1)!, at most 8!, rows
+    for n in range(1, 13):
+        sizes = [len(tail) for _, tail in _kernels._blocks(n)]
+        assert set(sizes) == {math.factorial(min(n - 1, 8))}, n
+        assert sum(sizes) == math.factorial(n), n
     codes = _kernels._oracle_codes(7).tobytes()
     rows = _kernels.oracle_fill(7, 6, True, 0).tolist()
     census = _kernels.oracle_census(7).tolist()
@@ -485,18 +493,18 @@ def test_oracle_classifies_at_most_classify_rows_at_once(monkeypatch):
         classified.append(len(block))
         return classify(block)
 
+    # blocks of 4! rows: the codes memo, then past _CODES_MAX_N, where each
+    # call classifies afresh, a listing and a census
     monkeypatch.setattr(_kernels, "_classify", counted)
-    monkeypatch.setattr(_kernels, "_CLASSIFY_ROWS", 100)
+    monkeypatch.setattr(_kernels, "_FREE_MAX", 4)
     _kernels._oracle_codes.cache_clear()
     assert _kernels._oracle_codes(7).tobytes() == codes
-    assert classified == ([100] * 7 + [20]) * 7  # each block of 720 rows in slices
-    # past _FREE_MAX + 1, where each call classifies afresh: 42 blocks of 5!
-    monkeypatch.setattr(_kernels, "_FREE_MAX", 5)
-    monkeypatch.setattr(_kernels, "_CLASSIFY_ROWS", 50)
-    classified.clear()
+    assert classified == [24] * 210
+    monkeypatch.setattr(_kernels, "_CODES_MAX_N", 6)
     assert _kernels.oracle_fill(7, 6, True, 0).tolist() == rows
     assert _kernels.oracle_census.__wrapped__(7).tolist() == census
-    assert classified == [50, 50, 20] * 42 * 2
+    assert classified == [24] * 210 * 3
+    assert max(classified) <= math.factorial(_kernels._FREE_MAX)
 
 
 def test_oracle_census_matches_naive_census(census):
@@ -519,7 +527,7 @@ def test_oracle_census_matches_naive_census(census):
 
 
 def test_oracle_memory_is_bounded():
-    # numpy reports its buffers to tracemalloc; blocks of at most 9! rows
+    # numpy reports its buffers to tracemalloc; blocks of at most 8! rows
     # keep a scan of all 10! permutations well inside the budget
     budget = 64 * 2**20
     _kernels.oracle_census.cache_clear()
@@ -566,6 +574,19 @@ def test_counter_matches_brute_force_all_masks(census):
                 if (is_ballot_perm or not ballot) and not found & forbidden:
                     expected[n - 1] += size
             assert _kernels.pruned_count(8, mask, ballot) == expected, (mask, ballot)
+
+
+def test_counter_memo_holds_one_length():
+    # plain {} meets each (top, blocked) pair once, so a memo kept for the
+    # whole pass grows as n^2 / 2 (6 MB at n = 300); cut to the pairs of
+    # each new table it holds one length's
+    tracemalloc.start()
+    try:
+        assert _kernels.pruned_count(300, 0, False)[-1] == math.factorial(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"{peak / 2**20:.1f} MB"
 
 
 def test_every_class_counts_to_16_under_state_bound():
